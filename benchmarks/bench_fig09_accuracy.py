@@ -1,7 +1,8 @@
 """Figure 9: model-predicted misses vs. "measured" misses (L1 and L2).
 
 The hardware measurements of the paper are replaced by the deterministic
-hardware surrogate (set-associative tree-PLRU caches, see DESIGN.md).  The
+hardware surrogate (set-associative tree-PLRU caches, see
+``repro.hardware.measurement``).  The
 paper reports geometric-mean errors of 0.6% (L1) and 0.2% (L2) relative to
 the total number of accesses; the reproduction asserts that the error of the
 fully associative model against the set-associative surrogate stays within a

@@ -2,30 +2,44 @@
 
 A :class:`Constraint` is a quasi-affine expression compared against zero
 (``expr == 0`` or ``expr >= 0``).  A :class:`ConstraintSystem` is a
-conjunction of constraints; unions of systems are represented as plain Python
-lists of systems by the higher layers.
+conjunction of constraints, each stored with integer coefficients by
+:meth:`Constraint.normalized`; unions of systems are plain Python lists of
+systems in the higher layers.
 
 The module provides the operations the cache model pipeline needs:
 
-* normalisation to integer coefficients,
-* substitution,
-* rational Fourier-Motzkin elimination (with an exactness certificate for the
-  cases where the integer projection coincides with the rational one),
-* rational feasibility checks used to prune empty pieces,
-* bound extraction for a variable (used by symbolic counting and by the
-  parametric lexicographic optimisation), and
-* explicit enumeration of integer points (test oracle and partial-enumeration
-  fallback).
+* normalisation, substitution and div expansion on ``QPoly`` constraints,
+* Fourier-Motzkin projection with an exactness certificate for the cases
+  where the integer projection equals the rational one (:func:`fm_eliminate`,
+  used by parametric lexicographic optimisation),
+* bound extraction for a variable (symbolic counting and lexopt),
+* rational feasibility (:func:`feasible_rational`) to prune empty pieces,
+  and integer ranges (:func:`variable_range`) for explicit enumeration of
+  integer points (test oracle and partial-enumeration fallback).
+
+Feasibility and ranges run on an integer-row kernel rather than on
+``QPoly`` arithmetic, the way isl keeps integer constraint matrices.  Each
+call converts the stored constraints to ``int`` rows once, expands every
+``floor`` div into a fresh ``__q{n}`` column with its two defining rows (in
+the order and under the names :meth:`ConstraintSystem.expand_divs` uses),
+then eliminates columns by Fourier-Motzkin on dense integer tuples.  Rows are
+normalised and deduplicated with the rules of :meth:`Constraint.normalized`
+and :meth:`ConstraintSystem.add`, so every answer equals the one exact
+``Fraction`` arithmetic on the same constraints gives.  Past 24 variables or
+600 rows the test answers "feasible" unproved; :func:`feasibility_cache_info`
+counts those cut-offs along with the hits of the bounded LRU memo.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .qpoly import Div, QPoly, floor_div
+from .qpoly import Div, QPoly, Symbol, floor_div
 from .work import charge as _charge_work
 
 __all__ = [
@@ -34,6 +48,8 @@ __all__ = [
     "NonExactProjectionError",
     "UnboundedSetError",
     "eq",
+    "feasibility_cache_info",
+    "feasible_rational",
     "ge",
     "le",
     "gt",
@@ -315,7 +331,9 @@ class ConstraintSystem:
             rewritten = ConstraintSystem()
             for constraint in system.constraints:
                 rewritten.add(Constraint(_replace_div(constraint.expr, div, replacement), constraint.kind))
-            argument = _replace_div_in_poly_arguments(div.argument(), mapping)
+            # The argument keeps its own (nested) divs even when they were
+            # expanded before; they are then expanded again under a new name.
+            argument = div.argument()
             rewritten.add(ge(argument - QPoly.variable(var) * div.denominator, 0))
             rewritten.add(le(argument - QPoly.variable(var) * div.denominator, div.denominator - 1))
             system = rewritten
@@ -339,14 +357,6 @@ def _replace_div(poly: QPoly, div: Div, replacement: QPoly) -> QPoly:
                 factor = factor * base
         result = result + factor
     return result
-
-
-def _replace_div_in_poly_arguments(poly: QPoly, mapping: Dict[str, Div]) -> QPoly:
-    # Arguments of previously expanded divs may nest; with the small
-    # denominators used by the cache model this is rare, so we keep the
-    # arguments as-is.  The defining constraints added by ``expand_divs``
-    # reference the argument polynomial directly.
-    return poly
 
 
 # ----------------------------------------------------------------------
@@ -446,14 +456,6 @@ def fm_eliminate(system: ConstraintSystem, name: str, *, require_exact: bool = F
     return out
 
 
-def fm_project(system: ConstraintSystem, eliminate: Sequence[str], *, require_exact: bool = False) -> ConstraintSystem:
-    """Eliminate several variables (innermost last in ``eliminate`` first)."""
-    result = system
-    for name in reversed(list(eliminate)):
-        result = fm_eliminate(result, name, require_exact=require_exact)
-    return result
-
-
 def substitute_equalities(system: ConstraintSystem, names: Sequence[str]) -> Tuple[ConstraintSystem, Dict[str, QPoly]]:
     """Use unit-coefficient equalities to substitute out variables in ``names``.
 
@@ -487,7 +489,310 @@ def substitute_equalities(system: ConstraintSystem, names: Sequence[str]) -> Tup
     return current, assignment
 
 
-_FEASIBILITY_CACHE: Dict[frozenset, bool] = {}
+# ----------------------------------------------------------------------
+# Rational feasibility on integer rows
+# ----------------------------------------------------------------------
+#: Elimination gives up and answers "feasible" past this many rows.
+_MAX_ROWS = 600
+
+
+class _Rows:
+    """Integer rows ``(is_eq, coeffs, const)`` for ``coeffs . x + const``
+    ``== 0`` (or ``>= 0``), kept the way a :class:`ConstraintSystem` keeps
+    constraints.
+
+    ``coeffs`` is a ``{symbol: int}`` dict while divs are expanded (in the
+    term order of the constraint it came from, which decides the order divs
+    are expanded in) and a tuple over fixed columns during elimination.
+    """
+
+    __slots__ = ("rows", "contradiction", "_keys", "_ineq_at")
+
+    def __init__(self) -> None:
+        self.rows: List[Tuple[bool, Any, int]] = []
+        #: Set once a constant row that does not hold was added.
+        self.contradiction = False
+        self._keys: set = set()
+        self._ineq_at: Dict[Any, int] = {}
+
+    def add(self, is_eq: bool, coeffs: Any, const: int, scale: int = 1) -> None:
+        """Add ``scale`` (> 0) times a rational row, normalised and deduplicated.
+
+        Normalisation is :meth:`Constraint.normalized` on integers; then, as
+        in :meth:`ConstraintSystem.add`, exact duplicates are dropped and only
+        the tightest inequality per coefficient direction is kept, in the slot
+        of the first one.  Constant rows are not kept.
+        """
+        dense = type(coeffs) is tuple
+        g = _gcd(*(coeffs if dense else coeffs.values()))
+        if not g:
+            self.contradiction |= const != 0 if is_eq else const < 0
+            return
+        if g > 1 and is_eq and const % g:
+            # ``normalized`` keeps such an equality in its lcm-scaled form.
+            g = _gcd(scale, g, const)
+        if g > 1:
+            coeffs = tuple(x // g for x in coeffs) if dense else {sym: x // g for sym, x in coeffs.items()}
+            const //= g
+        direction = coeffs if dense else frozenset(coeffs.items())
+        key = (is_eq, direction, const)
+        if key in self._keys:
+            return
+        self._keys.add(key)
+        if not is_eq:
+            index = self._ineq_at.get(direction)
+            if index is not None:
+                if self.rows[index][2] > const:
+                    self.rows[index] = (is_eq, coeffs, const)
+                return
+            self._ineq_at[direction] = len(self.rows)
+        self.rows.append((is_eq, coeffs, const))
+
+
+def _div_variables(div: Div) -> set:
+    names: set = set()
+    for monomial, _ in div.items:
+        for sym, _exp in monomial:
+            names |= {sym} if isinstance(sym, str) else _div_variables(sym)
+    return names
+
+
+class _DivTable:
+    """The divs of one call as ``int`` symbols.
+
+    Hashing a :class:`Div` walks its ``Fraction`` items, so each distinct div
+    is hashed once, here, and rows use its index.
+    """
+
+    __slots__ = ("ids", "divs", "variables")
+
+    def __init__(self) -> None:
+        self.ids: Dict[Div, int] = {}
+        self.divs: List[Div] = []
+        self.variables: List[set] = []
+
+    def symbol(self, sym: Symbol) -> Union[str, int]:
+        if isinstance(sym, str):
+            return sym
+        index = self.ids.get(sym)
+        if index is None:
+            index = self.ids[sym] = len(self.divs)
+            self.divs.append(sym)
+            self.variables.append(_div_variables(sym))
+        return index
+
+    def first(self, rows: _Rows, wanted: Optional[set]) -> Optional[int]:
+        """First div (row order, then term order) with a free variable in ``wanted``."""
+        seen: set = set()
+        for _, coeffs, _ in rows.rows:
+            for sym in coeffs:
+                if type(sym) is int and sym not in seen:
+                    seen.add(sym)
+                    free = self.variables[sym]
+                    if free if wanted is None else free & wanted:
+                        return sym
+        return None
+
+    def definition(self, index: int, var: str) -> List[Tuple[Dict[Union[str, int], int], int]]:
+        """``arg - d*var >= 0`` and ``d - 1 - arg + d*var >= 0`` as integer rows."""
+        div = self.divs[index]
+        terms: Dict[Union[str, int], Fraction] = {}
+        const = Fraction(0)
+        for monomial, value in div.items:
+            if not monomial:
+                const = value
+            elif len(monomial) != 1 or monomial[0][1] != 1:
+                raise ValueError(f"constraint expression must be (quasi-)affine: {div}")
+            else:
+                terms[self.symbol(monomial[0][0])] = value
+        total = terms.get(var, 0) - div.denominator
+        if total:
+            terms[var] = total
+        else:
+            terms.pop(var, None)
+        scale = math.lcm(const.denominator, *(value.denominator for value in terms.values()))
+        low = {sym: int(value * scale) for sym, value in terms.items()}
+        low_const = int(const * scale)
+        high = {sym: -value for sym, value in low.items()}
+        return [(low, low_const), (high, (div.denominator - 1) * scale - low_const)]
+
+
+def _expand_divs(system: ConstraintSystem, names: Optional[Sequence[str]]) -> Tuple[_Rows, List[str]]:
+    """Integer rows of ``system`` with divs renamed to existential columns.
+
+    Follows :meth:`ConstraintSystem.expand_divs`: the same divs (those whose
+    argument mentions ``names``; every div with a free variable when
+    ``names`` is None) are expanded in the same order under the same
+    ``__q{n}`` names.  Returns the rows and the fresh names; divs left
+    unexpanded stay as ``int`` symbols.
+    """
+    table = _DivTable()
+    rows = _Rows()
+    for constraint in system.constraints:
+        # Stored constraints are normalised: every coefficient is an integer.
+        coeffs: Dict[Union[str, int], int] = {}
+        const = 0
+        for monomial, value in constraint.expr.terms.items():
+            if monomial:
+                coeffs[table.symbol(monomial[0][0])] = value.numerator
+            else:
+                const = value.numerator
+        rows.add(constraint.kind == EQ, coeffs, const)
+    wanted = None if names is None else set(names)
+    fresh: List[str] = []
+    div = table.first(rows, wanted)
+    while div is not None:
+        var = f"__q{len(fresh)}"
+        fresh.append(var)
+        if wanted is not None:
+            wanted.add(var)
+        out = _Rows()
+        out.contradiction = rows.contradiction
+        for is_eq, coeffs, const in rows.rows:
+            if div in coeffs:
+                # Rename like ``QPoly`` addition: a fresh name that is already
+                # a variable of the row merges into it, in its slot.
+                renamed: Dict[Union[str, int], int] = {}
+                for sym, value in coeffs.items():
+                    sym = var if sym == div else sym
+                    total = renamed.get(sym, 0) + value
+                    if total:
+                        renamed[sym] = total
+                    else:
+                        renamed.pop(sym, None)
+                coeffs = renamed
+            out.add(is_eq, coeffs, const)
+        for coeffs, const in table.definition(div, var):
+            out.add(False, coeffs, const)
+        rows = out
+        div = table.first(rows, wanted)
+    return rows, fresh
+
+
+def _dense(rows: _Rows) -> Tuple[List[Union[str, int]], List[Tuple[bool, tuple, int]]]:
+    """The columns (variables, then unexpanded divs) and the rows over them."""
+    symbols = list(dict.fromkeys(sym for _, coeffs, _ in rows.rows for sym in coeffs))
+    symbols.sort(key=lambda sym: not isinstance(sym, str))
+    return symbols, [(is_eq, tuple(coeffs.get(sym, 0) for sym in symbols), const) for is_eq, coeffs, const in rows.rows]
+
+
+def _eliminate(rows: List[Tuple[bool, tuple, int]], column: int) -> _Rows:
+    """One Fourier-Motzkin step on dense rows.
+
+    The first equality involving ``column`` is substituted into the other
+    rows; without one, every lower bound is combined with every upper bound.
+    """
+    out = _Rows()
+    pivot = next((row for row in rows if row[0] and row[1][column]), None)
+    if pivot is not None:
+        _, pivot_coeffs, pivot_const = pivot
+        sign = 1 if pivot_coeffs[column] > 0 else -1
+        p = pivot_coeffs[column] * sign
+        for row in rows:
+            if row is pivot:
+                continue
+            is_eq, coeffs, const = row
+            q = -coeffs[column] * sign
+            if q:
+                # |a| * (row - b/a * pivot): an integer row, |a| times the rational one.
+                coeffs = tuple(p * x + q * y for x, y in zip(coeffs, pivot_coeffs))
+                out.add(is_eq, coeffs, p * const + q * pivot_const, p)
+            else:
+                out.add(is_eq, coeffs, const)
+        return out
+    lowers = []
+    uppers = []
+    for row in rows:
+        b = row[1][column]
+        if not b:
+            out.add(*row)
+        elif b > 0:
+            lowers.append(row)
+        else:
+            uppers.append(row)
+    for _, low, low_const in lowers:
+        p = low[column]
+        for _, up, up_const in uppers:
+            q = -up[column]
+            out.add(False, tuple(p * u + q * l for l, u in zip(low, up)), p * up_const + q * low_const)
+    return out
+
+
+def _feasible_rows(system: ConstraintSystem, max_vars: int) -> Tuple[bool, Optional[str]]:
+    """The answer, and the cut-off (``vars_cutoffs``/``rows_cutoffs``) that gave it, if any."""
+    expanded, _ = _expand_divs(system, None)
+    symbols, rows = _dense(expanded)
+    remaining = [sym for sym in symbols if isinstance(sym, str)]
+    if len(remaining) > max_vars:
+        return True, "vars_cutoffs"
+    column_of = {sym: index for index, sym in enumerate(symbols)}
+    contradiction = expanded.contradiction
+    while remaining and rows and not contradiction:
+        # Greedy minimum-occurrence ordering keeps the Fourier-Motzkin blow-up low.
+        columns = list(zip(*(coeffs for _, coeffs, _ in rows)))
+        occurrences = {name: len(rows) - columns[column_of[name]].count(0) for name in remaining}
+        name = min(remaining, key=lambda n: (occurrences[n], n))
+        remaining.remove(name)
+        step = _eliminate(rows, column_of[name])
+        rows, contradiction = step.rows, step.contradiction
+        if not contradiction and len(rows) > _MAX_ROWS:
+            return True, "rows_cutoffs"
+    return not contradiction, None
+
+
+class _FeasibilityMemo:
+    """The :func:`feasible_rational` answers of this process: an LRU of
+    ``maxsize`` entries, so long-lived workers keep caching, and counters."""
+
+    def __init__(self, maxsize: int) -> None:
+        self.maxsize = maxsize
+        #: key -> (the same key object, answer).
+        self._answers: "OrderedDict[frozenset, Tuple[frozenset, bool]]" = OrderedDict()
+        self._counts = dict.fromkeys(("hits", "misses", "evictions", "vars_cutoffs", "rows_cutoffs"), 0)
+        # Server requests may analyse on threads; the counters and the LRU
+        # order are read-modify-write.
+        self._lock = threading.Lock()
+
+    def get(self, key: frozenset) -> Optional[bool]:
+        with self._lock:
+            entry = self._answers.get(key)
+            if entry is None:
+                self._counts["misses"] += 1
+                return None
+            self._counts["hits"] += 1
+            # Move the stored key object itself: the lookups inside
+            # ``move_to_end`` then match by identity instead of comparing a
+            # fresh key with it constraint by constraint.
+            stored, answer = entry
+            self._answers.move_to_end(stored)
+            return answer
+
+    def put(self, key: frozenset, answer: bool, cutoff: Optional[str]) -> None:
+        with self._lock:
+            if cutoff:
+                self._counts[cutoff] += 1
+            self._answers[key] = (key, answer)
+            if len(self._answers) > self.maxsize:
+                self._answers.popitem(last=False)
+                self._counts["evictions"] += 1
+
+    def info(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts, size=len(self._answers), maxsize=self.maxsize)
+
+
+_FEASIBILITY_MEMO = _FeasibilityMemo(200_000)
+
+
+def feasibility_cache_info() -> Dict[str, int]:
+    """Counters of the :func:`feasible_rational` memo since the process started.
+
+    ``hits``/``misses``/``evictions``/``size``/``maxsize`` describe the LRU
+    memo.  ``vars_cutoffs`` and ``rows_cutoffs`` count the uncached calls
+    answered "feasible" without a proof, because the system had more than
+    ``max_vars`` variables or elimination grew past 600 rows.
+    """
+    return _FEASIBILITY_MEMO.info()
 
 
 def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
@@ -504,70 +809,12 @@ def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
     # call sequence (deterministic per job), not on cross-job cache warmth.
     _charge_work()
     cache_key = frozenset((c.kind, c.expr._canonical_items()) for c in system.constraints)
-    cached = _FEASIBILITY_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    result = _feasible_rational_uncached(system, max_vars=max_vars)
-    if len(_FEASIBILITY_CACHE) < 200_000:
-        _FEASIBILITY_CACHE[cache_key] = result
-    return result
-
-
-def _feasible_rational_uncached(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
-    names = sorted(n for n in system.variables())
-    expanded, fresh, _ = system.expand_divs(names)
-    all_names = list(expanded.variables())
-    if len(all_names) > max_vars:
-        return True
-    current = expanded
-    while all_names:
-        # Greedy minimum-degree ordering keeps the Fourier-Motzkin blow-up low.
-        occurrences = {
-            name: sum(1 for c in current.constraints if c.expr.coefficient(name)) for name in all_names
-        }
-        name = min(all_names, key=lambda n: (occurrences[n], n))
-        all_names.remove(name)
-        current = _fm_eliminate_rational(current, name)
-        if current.has_trivially_false():
-            return False
-        if len(current) > 600:
-            return True
-    return not current.has_trivially_false()
-
-
-def _fm_eliminate_rational(system: ConstraintSystem, name: str) -> ConstraintSystem:
-    lowers: List[Tuple[QPoly, int]] = []
-    uppers: List[Tuple[QPoly, int]] = []
-    rest: List[Constraint] = []
-    equalities: List[Tuple[QPoly, Fraction]] = []
-    for constraint in system.constraints:
-        expr = constraint.expr
-        coeff = expr.coefficient(name)
-        if not coeff or expr.degree_in_divs(name):
-            rest.append(constraint)
-            continue
-        remainder = expr - QPoly.variable(name) * coeff
-        if constraint.kind == EQ:
-            equalities.append((remainder, coeff))
-        elif coeff > 0:
-            lowers.append((-remainder, coeff.numerator))
-        else:
-            uppers.append((remainder, -coeff.numerator))
-    if equalities:
-        remainder, coeff = equalities[0]
-        value = remainder * (Fraction(-1) / coeff)
-        substitution = {name: value}
-        new_system = ConstraintSystem()
-        for constraint in system.constraints:
-            if constraint.expr.coefficient(name) == coeff and constraint.kind == EQ and constraint.expr - QPoly.variable(name) * coeff == remainder:
-                continue
-            new_system.add(constraint.substitute(substitution))
-        return new_system
-    out = ConstraintSystem(rest)
-    for low_expr, low_coeff in lowers:
-        for up_expr, up_coeff in uppers:
-            out.add(ge(up_expr * low_coeff - low_expr * up_coeff, 0))
-    return out
+    memo = _FEASIBILITY_MEMO
+    answer = memo.get(cache_key)
+    if answer is None:
+        answer, cutoff = _feasible_rows(system, max_vars)
+        memo.put(cache_key, answer, cutoff)
+    return answer
 
 
 # ----------------------------------------------------------------------
@@ -580,32 +827,27 @@ def variable_range(system: ConstraintSystem, name: str, others: Sequence[str]) -
     constraints for each candidate point.  Raises :class:`UnboundedSetError`
     if no finite bound exists.
     """
-    expanded, fresh, _ = system.expand_divs(list(others) + [name])
-    current = expanded
+    expanded, fresh = _expand_divs(system, list(others) + [name])
+    symbols, rows = _dense(expanded)
+    column_of = {sym: index for index, sym in enumerate(symbols)}
     for other in list(others) + fresh:
-        current = _fm_eliminate_rational(current, other)
-    lower: Optional[Fraction] = None
-    upper: Optional[Fraction] = None
-    for constraint in current.constraints:
-        coeff = constraint.expr.coefficient(name)
-        if not coeff:
+        if other in column_of:
+            rows = _eliminate(rows, column_of[other]).rows
+    lows: List[int] = []
+    highs: List[int] = []
+    column = column_of.get(name)
+    for is_eq, coeffs, const in rows if column is not None else ():
+        coeff = coeffs[column]
+        if not coeff or len(coeffs) - coeffs.count(0) > 1:
             continue
-        remainder = constraint.expr - QPoly.variable(name) * coeff
-        if not remainder.is_constant():
-            continue
-        value = -remainder.constant_value() / coeff
-        if constraint.kind == EQ:
-            lower = value if lower is None else max(lower, value)
-            upper = value if upper is None else min(upper, value)
-        elif coeff > 0:
-            lower = value if lower is None else max(lower, value)
-        else:
-            upper = value if upper is None else min(upper, value)
-    if lower is None or upper is None:
+        # coeff * name + const (== or >=) 0 bounds name by -const / coeff.
+        if coeff > 0 or is_eq:
+            lows.append(-(const // coeff))
+        if coeff < 0 or is_eq:
+            highs.append(-const // coeff)
+    if not lows or not highs:
         raise UnboundedSetError(f"variable {name} is not bounded")
-    import math
-
-    return math.ceil(lower), math.floor(upper)
+    return max(lows), min(highs)
 
 
 def enumerate_points(system: ConstraintSystem, names: Sequence[str]) -> Iterator[Dict[str, int]]:

@@ -1,10 +1,22 @@
-"""Shared pytest configuration: the ``slow`` marker and store isolation.
+"""Shared pytest configuration: the ``slow`` marker, store isolation and
+hypothesis profiles.
 
 Slow tests (line-granularity cross-validation on larger kernels) are skipped
 by default; run them with ``pytest --run-slow``.
+
+``HYPOTHESIS_PROFILE=nightly`` raises the example count of every property
+test that does not pin its own ``max_examples`` (the differential
+feasibility tests in ``test_isl_feasibility.py``); the default profile keeps
+the tier-1 suite fast.
 """
 
+import os
+
 import pytest
+from hypothesis import settings
+
+settings.register_profile("nightly", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(autouse=True)

@@ -1,0 +1,446 @@
+"""Differential tests of the integer-row rational feasibility kernel.
+
+The oracle below is the ``QPoly``/``Fraction`` Fourier-Motzkin elimination
+that :func:`repro.isl.constraints.feasible_rational` and
+:func:`~repro.isl.constraints.variable_range` used before they moved onto
+integer rows, kept verbatim.  The integer kernel must return the same answer
+as the oracle on every input, including the conservative "feasible" answers
+of the variable and row cut-offs, so that feasibility call sequences, work
+units and piece counts do not depend on which implementation runs.
+
+The hypothesis examples per test follow the active profile (see
+``tests/conftest.py``); ``HYPOTHESIS_PROFILE=nightly`` runs many more.
+"""
+
+import sys
+import threading
+from fractions import Fraction
+from itertools import product
+from typing import List, Optional, Sequence, Tuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.isl import constraints
+from repro.isl.constraints import (
+    EQ,
+    Constraint,
+    ConstraintSystem,
+    UnboundedSetError,
+    eq,
+    feasibility_cache_info,
+    feasible_rational,
+    ge,
+    le,
+    variable_range,
+)
+from repro.isl.qpoly import QPoly, floor_div
+
+
+# ----------------------------------------------------------------------
+# Oracle: the QPoly Fourier-Motzkin path, unchanged but for line wrapping
+# ----------------------------------------------------------------------
+def _feasible_rational_uncached(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
+    names = sorted(n for n in system.variables())
+    expanded, fresh, _ = system.expand_divs(names)
+    all_names = list(expanded.variables())
+    if len(all_names) > max_vars:
+        return True
+    current = expanded
+    while all_names:
+        # Greedy minimum-degree ordering keeps the Fourier-Motzkin blow-up low.
+        occurrences = {
+            name: sum(1 for c in current.constraints if c.expr.coefficient(name)) for name in all_names
+        }
+        name = min(all_names, key=lambda n: (occurrences[n], n))
+        all_names.remove(name)
+        current = _fm_eliminate_rational(current, name)
+        if current.has_trivially_false():
+            return False
+        if len(current) > 600:
+            return True
+    return not current.has_trivially_false()
+
+
+def _fm_eliminate_rational(system: ConstraintSystem, name: str) -> ConstraintSystem:
+    lowers: List[Tuple[QPoly, int]] = []
+    uppers: List[Tuple[QPoly, int]] = []
+    rest: List[Constraint] = []
+    equalities: List[Tuple[QPoly, Fraction]] = []
+    for constraint in system.constraints:
+        expr = constraint.expr
+        coeff = expr.coefficient(name)
+        if not coeff or expr.degree_in_divs(name):
+            rest.append(constraint)
+            continue
+        remainder = expr - QPoly.variable(name) * coeff
+        if constraint.kind == EQ:
+            equalities.append((remainder, coeff))
+        elif coeff > 0:
+            lowers.append((-remainder, coeff.numerator))
+        else:
+            uppers.append((remainder, -coeff.numerator))
+    if equalities:
+        remainder, coeff = equalities[0]
+        value = remainder * (Fraction(-1) / coeff)
+        substitution = {name: value}
+        new_system = ConstraintSystem()
+        for constraint in system.constraints:
+            if (
+                constraint.expr.coefficient(name) == coeff
+                and constraint.kind == EQ
+                and constraint.expr - QPoly.variable(name) * coeff == remainder
+            ):
+                continue
+            new_system.add(constraint.substitute(substitution))
+        return new_system
+    out = ConstraintSystem(rest)
+    for low_expr, low_coeff in lowers:
+        for up_expr, up_coeff in uppers:
+            out.add(ge(up_expr * low_coeff - low_expr * up_coeff, 0))
+    return out
+
+
+def _variable_range_oracle(system: ConstraintSystem, name: str, others: Sequence[str]) -> Tuple[int, int]:
+    expanded, fresh, _ = system.expand_divs(list(others) + [name])
+    current = expanded
+    for other in list(others) + fresh:
+        current = _fm_eliminate_rational(current, other)
+    lower: Optional[Fraction] = None
+    upper: Optional[Fraction] = None
+    for constraint in current.constraints:
+        coeff = constraint.expr.coefficient(name)
+        if not coeff:
+            continue
+        remainder = constraint.expr - QPoly.variable(name) * coeff
+        if not remainder.is_constant():
+            continue
+        value = -remainder.constant_value() / coeff
+        if constraint.kind == EQ:
+            lower = value if lower is None else max(lower, value)
+            upper = value if upper is None else min(upper, value)
+        elif coeff > 0:
+            lower = value if lower is None else max(lower, value)
+        else:
+            upper = value if upper is None else min(upper, value)
+    if lower is None or upper is None:
+        raise UnboundedSetError(f"variable {name} is not bounded")
+    import math
+
+    return math.ceil(lower), math.floor(upper)
+
+
+# ----------------------------------------------------------------------
+# Helpers
+# ----------------------------------------------------------------------
+def _kernel(system: ConstraintSystem, max_vars: int = 24) -> bool:
+    """The integer-row kernel, bypassing the memo."""
+    return constraints._feasible_rows(system, max_vars)[0]
+
+
+def _rows_of(system: ConstraintSystem):
+    """The non-constant constraints of a system as ``(is_eq, {symbol: coeff}, const)``."""
+    rows = []
+    for constraint in system.constraints:
+        coeffs, const = constraint.expr.affine_coefficients()
+        if coeffs:
+            rows.append((constraint.kind == EQ, {sym: int(value) for sym, value in coeffs.items()}, int(const)))
+    return rows
+
+
+def _runs(system: ConstraintSystem, max_vars: int = 24):
+    """The answer and the whole elimination of the kernel and of the oracle.
+
+    Each run is ``(answer, expanded rows, contradiction, steps)`` with one
+    step per eliminated variable: its name, the rows left and whether a
+    constant false row appeared.  Equal runs mean equal order, normal forms,
+    deduplication and cut-offs, not only equal answers.  (Once a false row
+    exists the answer is ``False``; the oracle may take one more step.)
+    """
+    expanded_system = system.expand_divs(sorted(system.variables()))[0]
+    expanded = constraints._expand_divs(system, None)[0]
+    symbols, _ = constraints._dense(expanded)
+    oracle_steps, kernel_steps = [], []
+    oracle_step, kernel_step = _fm_eliminate_rational, constraints._eliminate
+
+    def oracle(current, name):
+        result = oracle_step(current, name)
+        if not current.has_trivially_false():
+            oracle_steps.append((name, _rows_of(result), result.has_trivially_false()))
+        return result
+
+    def kernel(rows, column):
+        result = kernel_step(rows, column)
+        dicts = [(e, {symbols[j]: v for j, v in enumerate(c) if v}, k) for e, c, k in result.rows]
+        kernel_steps.append((symbols[column], dicts, result.contradiction))
+        return result
+
+    globals()["_fm_eliminate_rational"], constraints._eliminate = oracle, kernel
+    try:
+        expected = _feasible_rational_uncached(system, max_vars=max_vars)
+        answer = constraints._feasible_rows(system, max_vars)[0]
+    finally:
+        globals()["_fm_eliminate_rational"], constraints._eliminate = oracle_step, kernel_step
+    return (
+        (answer, [(e, dict(c), k) for e, c, k in expanded.rows], expanded.contradiction, kernel_steps),
+        (expected, _rows_of(expanded_system), expanded_system.has_trivially_false(), oracle_steps),
+    )
+
+
+def _range_or_none(function, system, name, others):
+    try:
+        return function(system, name, others)
+    except UnboundedSetError:
+        return None
+
+
+def _holds(system: ConstraintSystem, point) -> bool:
+    for constraint in system.constraints:
+        value = constraint.expr.evaluate(point)
+        if value != 0 if constraint.kind == EQ else value < 0:
+            return False
+    return True
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty feasibility memo, with zeroed counters, for one test."""
+    monkeypatch.setattr(constraints, "_FEASIBILITY_MEMO", constraints._FeasibilityMemo(200_000))
+
+
+NAMES = ("i", "j", "k")
+
+
+@st.composite
+def affine(draw, names, *, coeff=3, const=12):
+    expr = QPoly.constant(draw(st.integers(-const, const)))
+    for name in names:
+        expr = expr + QPoly.variable(name) * draw(st.integers(-coeff, coeff))
+    return expr
+
+
+@st.composite
+def bounded_systems(draw, *, width=5, variables=3, extra=4, nested=True):
+    """A box over one to ``variables`` variables plus up to ``extra``
+    affine and floor-div constraints.
+
+    Each variable lies in ``[lo, lo + span]`` with ``span`` from -1 (empty)
+    to ``width``; the extra constraints compare ``floor(e/d)`` terms (also
+    ``nested`` ones) with affine expressions, as cache-line indices do.
+    """
+    names = NAMES[: draw(st.integers(1, variables))]
+    box = {}
+    parts = []
+    for name in names:
+        lo = draw(st.integers(-4, 6))
+        hi = lo + draw(st.integers(-1, width))
+        box[name] = (lo, hi)
+        parts += [ge(name, lo), le(name, hi)]
+    for _ in range(draw(st.integers(0, extra))):
+        expr = draw(affine(names))
+        if draw(st.booleans()):
+            div = floor_div(draw(affine(names)), draw(st.sampled_from([2, 3, 4, 8])))
+            if nested and draw(st.integers(0, 3)) == 0:
+                div = floor_div(div + draw(affine(names, const=4)), draw(st.sampled_from([2, 8])))
+            expr = expr + div * draw(st.sampled_from([-2, -1, 1, 3]))
+        parts.append(eq(expr, 0) if draw(st.integers(0, 3)) == 0 else ge(expr, 0))
+    return ConstraintSystem(parts), box
+
+
+# ----------------------------------------------------------------------
+# Differential properties
+# ----------------------------------------------------------------------
+@given(bounded_systems(), st.sampled_from([24, 3, 2]))
+@settings(deadline=None)
+def test_kernel_matches_oracle(case, max_vars):
+    system, _ = case
+    if system.has_trivially_false():
+        return
+    kernel, oracle = _runs(system, max_vars)
+    assert kernel == oracle
+
+
+# ``variable_range`` has no cut-offs, so its elimination is doubly exponential
+# in the columns: keep the systems to at most five.
+@given(bounded_systems(variables=2, extra=3, nested=False), st.data())
+@settings(deadline=None)
+def test_variable_range_matches_oracle(case, data):
+    system, box = case
+    names = sorted(box)
+    name = data.draw(st.sampled_from(names))
+    others = [n for n in names if n != name]
+    assert _range_or_none(variable_range, system, name, others) == _range_or_none(
+        _variable_range_oracle, system, name, others
+    )
+
+
+@given(bounded_systems(width=4))
+@settings(deadline=None)
+def test_integer_point_implies_feasible(case):
+    system, box = case
+    names = sorted(box)
+    ranges = [range(box[n][0], box[n][1] + 1) for n in names]
+    if any(_holds(system, dict(zip(names, point))) for point in product(*ranges)):
+        assert not system.has_trivially_false()
+        assert _kernel(system)
+
+
+def test_replays_every_gemm_mini_call(monkeypatch, fresh_memo):
+    """Every distinct input gemm@mini sends to the kernel at budget 300."""
+    from repro.api import Session
+
+    calls = []
+    feasible_rows = constraints._feasible_rows
+
+    def recording(system, max_vars):
+        result = feasible_rows(system, max_vars)
+        calls.append((system, max_vars, result[0]))
+        return result
+
+    monkeypatch.setattr(constraints, "_feasible_rows", recording)
+    result = Session().machine((32 * 1024,)).budget(300).no_store().analyze("gemm", "mini")
+    monkeypatch.undo()
+    assert result.used_fallback
+    assert len(calls) > 50
+    for system, max_vars, answer in calls:
+        kernel, oracle = _runs(system, max_vars)
+        assert answer == kernel[0]
+        assert kernel == oracle, system
+
+
+# ----------------------------------------------------------------------
+# Edge cases the random systems rarely reach
+# ----------------------------------------------------------------------
+def _div(expr, d):
+    return floor_div(expr, d)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        # An equality whose constant the coefficient gcd does not divide.
+        [eq(QPoly.variable("i") * 2 + QPoly.variable("j") * 4, 1), ge("i", 0), le("i", 5)],
+        # ... and one that becomes so only after substituting another.
+        [
+            eq(QPoly.variable("i") * 3 + QPoly.variable("j") * 2, 1),
+            eq(QPoly.variable("i") * 2 + QPoly.variable("k") * 6, 3),
+            ge("j", -9),
+            le("j", 9),
+        ],
+        # Rationally feasible, integer-empty: the answer must stay True.
+        [ge(QPoly.variable("i") * 2, 1), le(QPoly.variable("i") * 2, 1)],
+        # A fresh div name colliding with a variable of the system.
+        [eq(_div(QPoly.variable("i"), 8), QPoly.variable("__q0")), ge("i", 0), le("i", 20), ge("__q0", 3)],
+        # ... so that the renamed row turns constant and false, before a second div.
+        [ge(_div(QPoly.variable("i"), 8) - QPoly.variable("__q0"), 1), ge(_div(QPoly.variable("j"), 4), 0), le("j", 9)],
+        # Substituting ``2a + 2b + 1 = 0`` leaves ``8b + 4 = 0`` at scale 2, which
+        # ``Constraint.normalized`` keeps as ``4b + 2 = 0``.
+        [
+            eq(QPoly.variable("a") * 2 + QPoly.variable("b") * 2, -1),
+            eq(QPoly.variable("a") * 2 + QPoly.variable("b") * 6, -3),
+        ],
+        # Substitution makes an equality an exact duplicate of another.
+        [eq("i", "j"), eq("i", "k"), eq("j", "k"), ge("k", 0), le("k", 4)],
+        # A div nested in another div's argument, and the same inner div at top level.
+        [
+            ge(_div(_div(QPoly.variable("i"), 2) + QPoly.variable("j"), 8), 1),
+            le(_div(QPoly.variable("i"), 2), 3),
+            ge("i", 0),
+            le("j", 9),
+            ge("j", 0),
+        ],
+        # A div with a fractional argument coefficient.
+        [ge(_div(QPoly.variable("i") * Fraction(1, 2) + 1, 3), 1), le("i", 10), ge("i", -10)],
+    ],
+)
+def test_edge_cases_match_oracle(parts):
+    system = ConstraintSystem(parts)
+    kernel, oracle = _runs(system)
+    assert kernel == oracle
+    for name in sorted(system.variables()):
+        others = [n for n in sorted(system.variables()) if n != name]
+        assert _range_or_none(variable_range, system, name, others) == _range_or_none(
+            _variable_range_oracle, system, name, others
+        )
+
+
+# ----------------------------------------------------------------------
+# Memo and cut-off counters
+# ----------------------------------------------------------------------
+def _interval(name, lo, hi):
+    return ConstraintSystem([ge(name, lo), le(name, hi)])
+
+
+def test_memo_keeps_caching_at_its_cap(monkeypatch):
+    monkeypatch.setattr(constraints, "_FEASIBILITY_MEMO", constraints._FeasibilityMemo(2))
+    first, second, third = (_interval("i", 0, n) for n in (1, 2, 3))
+    for system in (first, second, third):
+        assert feasible_rational(system)
+    info = feasibility_cache_info()
+    assert (info["misses"], info["evictions"], info["size"], info["maxsize"]) == (3, 1, 2, 2)
+    assert feasible_rational(third)
+    assert feasibility_cache_info()["hits"] == 1
+    # ``second`` is now the least recently used entry; ``first`` was evicted.
+    assert feasible_rational(first)
+    info = feasibility_cache_info()
+    assert (info["hits"], info["misses"], info["evictions"]) == (1, 4, 2)
+    assert feasible_rational(third)
+    assert feasibility_cache_info()["hits"] == 2
+
+
+def test_variable_cutoff_is_counted(fresh_memo):
+    names = [f"x{n}" for n in range(25)]
+    parts = [ge(names[0], 0), le(names[-1], 10)]
+    parts += [le(QPoly.variable(a), QPoly.variable(b)) for a, b in zip(names, names[1:])]
+    system = ConstraintSystem(parts)
+    assert feasible_rational(system)
+    assert feasibility_cache_info()["vars_cutoffs"] == 1
+    assert _feasible_rational_uncached(system)
+    assert feasible_rational(system)  # a memo hit does not count again
+    assert feasibility_cache_info()["vars_cutoffs"] == 1
+
+
+def test_row_cutoff_is_counted(fresh_memo):
+    # Every variable has as many lower as upper bounds, so each elimination
+    # step multiplies the rows until the 600-row cut-off answers "feasible".
+    names = ["a", "b", "c", "d", "e"]
+    parts = []
+    for index, name in enumerate(names):
+        for shift in range(6):
+            other = QPoly.variable(names[(index + shift + 1) % len(names)]) * (shift + 1)
+            parts.append(ge(QPoly.variable(name) * (shift + 2) - other, -shift))
+            parts.append(le(QPoly.variable(name) * (shift + 3) - other, 40 + shift))
+    system = ConstraintSystem(parts)
+    assert feasible_rational(system)
+    assert feasibility_cache_info()["rows_cutoffs"] == 1
+    kernel, oracle = _runs(system)
+    assert kernel == oracle
+    assert len(kernel[3][-1][1]) > 600
+
+
+def test_memo_counts_every_call_under_threads(monkeypatch):
+    """Eight threads sharing a small memo lose no counter update."""
+    monkeypatch.setattr(constraints, "_FEASIBILITY_MEMO", constraints._FeasibilityMemo(16))
+    systems = [_interval("i", 0, n) for n in range(40)]
+    rounds = 60
+
+    def work():
+        for _ in range(rounds):
+            for system in systems:
+                assert feasible_rational(system)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    info = feasibility_cache_info()
+    assert info["hits"] + info["misses"] == 8 * rounds * len(systems)
+    assert info["size"] == 16
+    assert info["evictions"] <= info["misses"] - info["size"]
