@@ -34,7 +34,6 @@ from .api import registry
 from .api.registry import RegistryError
 from .api.session import SessionConfigError
 from .core import CacheLevelSpec, MachineModel
-from .core.budget import BudgetExhausted
 from .core.prevmap import ModelFallbackRequired
 from .core.results import ModelResult
 from .engine.store import (
@@ -46,6 +45,7 @@ from .engine.store import (
     validate_store_path,
 )
 from .frontend import KernelParseError, parse_kernel_path
+from .isl.work import BudgetExhausted
 from .reporting import (
     format_batch_summary,
     format_diagnostics,

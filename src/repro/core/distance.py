@@ -72,7 +72,7 @@ class StackDistanceAnalysis:
     def __init__(self, scop: Scop, *, line_size: int = 64, budget=None) -> None:
         self.scop = scop
         self.line_size = line_size
-        #: Optional :class:`repro.core.budget.WorkBudget` shared with the
+        #: Optional :class:`repro.isl.work.WorkBudget` shared with the
         #: previous-access map; charged per reuse-window system so heavy
         #: kernels trip a deterministic fallback.
         self.budget = budget
@@ -175,9 +175,9 @@ class StackDistanceAnalysis:
         """Sum overlapping contribution pieces into a disjoint partition."""
         grouped = self._group_by_domain(contributions)
         pieces: List[Tuple[ConstraintSystem, QPoly]] = [(base_domain, QPoly())]
-        base_keys = _constraint_keys(base_domain)
+        base_keys = set(base_domain.constraints)
         for domain, polynomial in grouped:
-            extra = [c for c in domain.constraints if _constraint_key(c) not in base_keys]
+            extra = [c for c in domain.constraints if c not in base_keys]
             updated: List[Tuple[ConstraintSystem, QPoly]] = []
             for piece_domain, piece_poly in pieces:
                 if self.budget is not None:
@@ -185,8 +185,8 @@ class StackDistanceAnalysis:
                 if not extra:
                     updated.append((piece_domain, piece_poly + polynomial))
                     continue
-                piece_keys = _constraint_keys(piece_domain)
-                novel = [c for c in extra if _constraint_key(c) not in piece_keys]
+                piece_keys = set(piece_domain.constraints)
+                novel = [c for c in extra if c not in piece_keys]
                 if not novel:
                     updated.append((piece_domain, piece_poly + polynomial))
                     continue
@@ -208,18 +208,10 @@ class StackDistanceAnalysis:
         """Merge contributions with syntactically identical domains."""
         merged: Dict[frozenset, Tuple[ConstraintSystem, QPoly]] = {}
         for domain, polynomial in contributions:
-            key = frozenset(_constraint_keys(domain))
+            key = frozenset(domain.constraints)
             if key in merged:
                 existing_domain, existing_poly = merged[key]
                 merged[key] = (existing_domain, existing_poly + polynomial)
             else:
                 merged[key] = (domain, polynomial)
         return list(merged.values())
-
-
-def _constraint_key(constraint) -> Tuple:
-    return (constraint.kind, constraint.expr._canonical_items())
-
-
-def _constraint_keys(system: ConstraintSystem) -> set:
-    return {_constraint_key(c) for c in system.constraints}

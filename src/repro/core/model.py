@@ -17,7 +17,7 @@ distance pieces go through one :meth:`~repro.core.capacity.CapacityCounter.count
 pass whose samples provide the per-level counts and aggregate into the
 result's :class:`~repro.core.curve.MissCurve`.  If the symbolic pipeline cannot
 handle a program exactly — or exceeds the configured deterministic work
-budget (:mod:`repro.core.budget`) — the model optionally falls back to the
+budget (:mod:`repro.isl.work`) — the model optionally falls back to the
 trace-based reference computation and flags the result, so callers always
 receive exact miss counts.
 
@@ -35,8 +35,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cache import CardinalityCache
 from ..isl.counting import CountingError
+from ..isl.work import BudgetExhausted, WorkBudget, active_budget
 from ..scop.scop import Scop
-from .budget import BudgetExhausted, WorkBudget, active_budget
 from .capacity import CapacityCounter, CounterOptions
 from .config import MachineModel
 from .curve import MissCurve
@@ -79,7 +79,7 @@ class ModelOptions:
     #: (test-suite use only; requires enumerating the trace).
     cross_check: bool = False
     #: Deterministic bound on symbolic work units (see
-    #: :class:`repro.core.budget.WorkBudget`); ``None`` = unlimited.  When the
+    #: :class:`repro.isl.work.WorkBudget`); ``None`` = unlimited.  When the
     #: budget trips the model falls back to the exact trace computation (or
     #: raises, with ``fallback_to_simulation=False``).
     symbolic_work_budget: Optional[int] = None
@@ -138,7 +138,7 @@ class CacheModel:
         """Compute compulsory and capacity misses for every cache level.
 
         The symbolic pipeline runs under the configured work budget (see
-        :class:`repro.core.budget.WorkBudget`); both an exact-computation
+        :class:`repro.isl.work.WorkBudget`); both an exact-computation
         failure and budget exhaustion degrade to the trace-based fallback,
         which is exact and flagged on the result.
 

@@ -15,7 +15,7 @@ Determinism is achieved by making each task **hermetic**:
   persistent store tier), so the number of symbolic operations a task
   performs depends only on its own access — never on what another worker
   computed first;
-* every task gets its own :class:`~repro.core.budget.WorkBudget` sized to
+* every task gets its own :class:`~repro.isl.work.WorkBudget` sized to
   the units remaining in the analysis budget, and reports how much it used;
 * the parent merges outcomes in access order and **replays** each task's
   charge against the real analysis budget, so cumulative exhaustion trips at
@@ -40,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..engine.cache import CardinalityCache
 from ..isl.counting import CountingError
-from .budget import BudgetExhausted, WorkBudget, active_budget
+from ..isl.work import BudgetExhausted, WorkBudget, active_budget
 from .capacity import CapacityCounter, CounterOptions
 from .distance import DistancePiece
 from .prevmap import ModelFallbackRequired

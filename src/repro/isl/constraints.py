@@ -115,7 +115,22 @@ class Constraint:
         For inequalities the constant term may be tightened to
         ``floor(const / g)`` after dividing by the gcd ``g`` of the variable
         coefficients, which is valid over the integers.
+
+        A constraint that is already in this form is returned as is when its
+        constant term is the last term (where the rebuilt expression puts
+        it), so the terms keep their order either way.
         """
+        terms = self.expr.terms
+        integral = True
+        gcd = 0
+        for monomial, coeff in terms.items():
+            if coeff.denominator != 1:
+                integral = False
+                break
+            if monomial:
+                gcd = _gcd(gcd, coeff.numerator)
+        if integral and gcd == 1 and (() not in terms or next(reversed(terms)) == ()):
+            return self
         coeffs, const = self.expr.affine_coefficients()
         if not coeffs:
             return self
@@ -131,7 +146,7 @@ class Constraint:
         if gcd > 1:
             scaled = {sym: Fraction(c.numerator // gcd) for sym, c in scaled.items()}
             if self.kind == INEQ:
-                scaled_const = Fraction(_floor_div_int(scaled_const.numerator, gcd * scaled_const.denominator))
+                scaled_const = Fraction(scaled_const.numerator // (gcd * scaled_const.denominator))
             else:
                 if scaled_const.numerator % gcd:
                     # Equality with non-divisible constant: keep as is; the
@@ -150,10 +165,6 @@ class Constraint:
 #: Alias so call sites read the same as before; ``math.gcd`` is C-implemented
 #: and sits on the constraint-normalisation hot path.
 _gcd = math.gcd
-
-
-def _floor_div_int(numerator: int, denominator: int) -> int:
-    return numerator // denominator
 
 
 # ----------------------------------------------------------------------
@@ -203,14 +214,17 @@ class ConstraintSystem:
     distinction (counting, lexicographic optimisation, enumeration).
     """
 
-    __slots__ = ("constraints", "_keys", "_ineq_by_coeffs")
+    __slots__ = ("constraints", "_keys", "_ineq_by_coeffs", "_false")
 
     def __init__(self, constraints: Optional[Iterable[Constraint]] = None) -> None:
         self.constraints: List[Constraint] = []
+        #: Every normalised constraint added so far, kept or subsumed.
         self._keys: set = set()
         #: For inequalities: canonical coefficient vector -> index into
         #: ``constraints``; used to keep only the tightest bound per direction.
         self._ineq_by_coeffs: Dict[Tuple, int] = {}
+        #: Whether a trivially false constraint was added.
+        self._false = False
         if constraints:
             for constraint in constraints:
                 self.add(constraint)
@@ -222,36 +236,38 @@ class ConstraintSystem:
         if constraint.is_trivially_true():
             return
         normalized = constraint if pre_normalized else constraint.normalized()
-        key = (normalized.kind, normalized.expr._canonical_items())
-        if key in self._keys:
+        if normalized in self._keys:
             return
-        if normalized.kind == INEQ and not normalized.is_trivially_false():
+        false = normalized.is_trivially_false()
+        if normalized.kind == INEQ and not false:
             # Keep only the tightest inequality per coefficient direction:
             # a.x + c1 >= 0 subsumes a.x + c2 >= 0 whenever c1 <= c2.
             const = normalized.expr.constant_value()
-            coeff_key = tuple(
-                item for item in normalized.expr._canonical_items() if item[0] != ()
-            )
+            # The constant term, if any, sorts first in the canonical items.
+            items = normalized.expr._canonical_items()
+            coeff_key = items[1:] if items[0][0] == () else items
             existing_index = self._ineq_by_coeffs.get(coeff_key)
             if existing_index is not None:
                 existing = self.constraints[existing_index]
                 if existing.expr.constant_value() <= const:
                     return
                 self.constraints[existing_index] = normalized
-                self._keys.add(key)
+                self._keys.add(normalized)
                 return
-            self._keys.add(key)
+            self._keys.add(normalized)
             self._ineq_by_coeffs[coeff_key] = len(self.constraints)
             self.constraints.append(normalized)
             return
-        self._keys.add(key)
+        self._keys.add(normalized)
         self.constraints.append(normalized)
+        self._false |= false
 
     def copy(self) -> "ConstraintSystem":
         clone = ConstraintSystem()
         clone.constraints = list(self.constraints)
         clone._keys = set(self._keys)
         clone._ineq_by_coeffs = dict(self._ineq_by_coeffs)
+        clone._false = self._false
         return clone
 
     def conjoin(self, other: Union["ConstraintSystem", Iterable[Constraint]]) -> "ConstraintSystem":
@@ -278,7 +294,7 @@ class ConstraintSystem:
         return names
 
     def has_trivially_false(self) -> bool:
-        return any(c.is_trivially_false() for c in self.constraints)
+        return self._false
 
     def involves(self, name: str) -> bool:
         return any(c.expr.involves(name) for c in self.constraints)
@@ -342,17 +358,11 @@ class ConstraintSystem:
 
 
 def _replace_div(poly: QPoly, div: Div, replacement: QPoly) -> QPoly:
-    terms: Dict = {}
     result = QPoly()
     for monomial, coeff in poly.terms.items():
         factor = QPoly.constant(coeff)
         for sym, exp in monomial:
-            if sym == div:
-                base = replacement
-            elif isinstance(sym, Div):
-                base = QPoly.variable(sym)
-            else:
-                base = QPoly.variable(sym)
+            base = replacement if sym == div else QPoly.variable(sym)
             for _ in range(exp):
                 factor = factor * base
         result = result + factor
@@ -801,14 +811,15 @@ def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
     All free variables (including divs, which are expanded) are treated as
     rational unknowns and eliminated by Fourier-Motzkin.  The test
     over-approximates integer feasibility, which is the safe direction for
-    pruning pieces.  Results are memoised on the canonical constraint set.
+    pruning pieces.  Results are memoised on the set of stored constraints,
+    whose hashes their expressions compute once.
     """
     if system.has_trivially_false():
         return False
     # Charged before the memo lookup: the unit count then only depends on the
     # call sequence (deterministic per job), not on cross-job cache warmth.
     _charge_work()
-    cache_key = frozenset((c.kind, c.expr._canonical_items()) for c in system.constraints)
+    cache_key = frozenset(system.constraints)
     memo = _FEASIBILITY_MEMO
     answer = memo.get(cache_key)
     if answer is None:

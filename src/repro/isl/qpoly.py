@@ -48,23 +48,45 @@ class Div:
     ``(monomial, coefficient)`` pairs plus the constant term, exactly as
     produced by :meth:`QPoly._canonical_items`.  ``denominator`` is a positive
     integer.  Divs may be nested (the argument may itself contain divs).
+
+    The hash and the sort key (the ``repr``) are computed on first use and
+    kept on the instance; :meth:`__getstate__` leaves them out of the pickle,
+    because ``str`` hashes differ between processes.
     """
 
     items: Tuple[Tuple[Tuple[Tuple["Symbol", int], ...], Fraction], ...]
     denominator: int
 
+    #: Per-process caches, set with ``object.__setattr__`` on first use.
+    _hash = None
+    _key = None
+
     def argument(self) -> "QPoly":
         """Return the argument of the floor as a :class:`QPoly`."""
-        poly = QPoly()
-        terms = dict(poly.terms)
-        for monomial, coeff in self.items:
-            terms[monomial] = coeff
-        return QPoly(terms)
+        return QPoly(dict(self.items))
 
     def symbols(self) -> set:
         return self.argument().symbols()
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def sort_key(self) -> Tuple[int, str]:
+        """Orders divs after plain variables, by their ``repr``."""
+        key = self._key
+        if key is None:
+            key = (1, repr(self))
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.items, self.denominator))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {"items": self.items, "denominator": self.denominator}
+
+    def __repr__(self) -> str:
         return f"floor(({self.argument()})/{self.denominator})"
 
 
@@ -75,7 +97,12 @@ Monomial = Tuple[Tuple[Symbol, int], ...]
 def _symbol_sort_key(symbol: Symbol) -> Tuple[int, str]:
     if isinstance(symbol, str):
         return (0, symbol)
-    return (1, repr(symbol))
+    return symbol.sort_key()
+
+
+def _term_sort_key(term: Tuple[Monomial, Fraction]) -> Tuple[int, List[Tuple[Tuple[int, str], int]]]:
+    monomial = term[0]
+    return (len(monomial), [(_symbol_sort_key(s), e) for s, e in monomial])
 
 
 def _monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -93,8 +120,15 @@ class QPoly:
     The empty monomial ``()`` holds the constant term; a monomial is a
     sorted tuple of ``(symbol, exponent)`` pairs where a symbol is either a
     variable name or a :class:`Div` (a nested floor-division term, which is
-    what makes the polynomial "quasi").  Instances are immutable by
-    convention; all operations return new objects.
+    what makes the polynomial "quasi").
+
+    **Immutability and caching contract.**  Instances are immutable by
+    convention: all operations return new objects, and nothing may mutate
+    ``terms`` after construction.  The canonical form
+    (:meth:`_canonical_items`) and the hash are therefore computed once, on
+    first use, and kept in two slots.  The caches are per process: pickling
+    (:meth:`__reduce__`) sends only ``terms``, so an unpickled polynomial
+    recomputes them under its own process's ``str`` hash seed.
 
     **Exactness contract.**  Coefficients are ``fractions.Fraction``s and
     every operation — arithmetic, substitution, evaluation — is exact
@@ -113,7 +147,7 @@ class QPoly:
     active :class:`~repro.isl.work.WorkBudget`.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_items", "_hash")
 
     def __init__(self, terms: Optional[Mapping[Monomial, Number]] = None) -> None:
         clean: Dict[Monomial, Fraction] = {}
@@ -123,6 +157,11 @@ class QPoly:
                 if frac:
                     clean[monomial] = frac
         self.terms: Dict[Monomial, Fraction] = clean
+        self._items: Optional[Tuple[Tuple[Monomial, Fraction], ...]] = None
+        self._hash: Optional[int] = None
+
+    def __reduce__(self) -> Tuple[type, Tuple[Dict[Monomial, Fraction]]]:
+        return (QPoly, (self.terms,))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -151,13 +190,17 @@ class QPoly:
     # Introspection
     # ------------------------------------------------------------------
     def _canonical_items(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
-        return tuple(sorted(self.terms.items(), key=lambda it: (len(it[0]), [(_symbol_sort_key(s), e) for s, e in it[0]])))
+        items = self._items
+        if items is None:
+            items = self._items = tuple(sorted(self.terms.items(), key=_term_sort_key))
+        return items
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(monomial == () for monomial in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and () in terms)
 
     def constant_value(self) -> Fraction:
         return self.terms.get((), Fraction(0))
@@ -303,7 +346,10 @@ class QPoly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self._canonical_items())
+        value = self._hash
+        if value is None:
+            value = self._hash = hash(self._canonical_items())
+        return value
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -19,6 +19,11 @@ primitives call the module-level :func:`charge`, which is a no-op when no
 budget is active (the default, and the library behaviour).  The active
 budget is process-global state: one analysis per process at a time, which
 matches both the CLI and the batch engine's worker processes.
+
+Model-level callers use the same names: a limit of ``None`` means unlimited
+(the library default), while the CLI applies a finite default so that
+interactive runs terminate; the model then falls back to the exact trace and
+flags the result.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import CacheLevelSpec, CacheModel, MachineModel, ModelOptions
-from repro.core.budget import BudgetExhausted, WorkBudget
+from repro.isl.work import BudgetExhausted, WorkBudget
 from repro.core.results import ModelResult
 from repro.engine import BatchEngine, BatchResult, CardinalityCache, JobSpec, expand_matrix
 from repro.isl.constraints import ConstraintSystem, ge, le

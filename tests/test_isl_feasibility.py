@@ -12,6 +12,8 @@ The hypothesis examples per test follow the active profile (see
 ``tests/conftest.py``); ``HYPOTHESIS_PROFILE=nightly`` runs many more.
 """
 
+import math
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -19,11 +21,12 @@ from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.isl import constraints
 from repro.isl.constraints import (
     EQ,
+    INEQ,
     Constraint,
     ConstraintSystem,
     UnboundedSetError,
@@ -444,3 +447,149 @@ def test_memo_counts_every_call_under_threads(monkeypatch):
     assert info["hits"] + info["misses"] == 8 * rounds * len(systems)
     assert info["size"] == 16
     assert info["evictions"] <= info["misses"] - info["size"]
+
+
+# ----------------------------------------------------------------------
+# Canonical forms and hashes are computed once per object
+# ----------------------------------------------------------------------
+@st.composite
+def quasi_affine(draw, names=NAMES):
+    """An affine expression plus ``floor`` divs, some nested, over ``names``."""
+    expr = draw(affine(names))
+    for _ in range(draw(st.integers(0, 3))):
+        div = floor_div(draw(affine(names)), draw(st.sampled_from([2, 3, 8])))
+        if draw(st.booleans()):
+            outer = div * draw(st.sampled_from([1, 3])) + draw(affine(names, const=4))
+            div = floor_div(outer, draw(st.sampled_from([2, 4])))
+        expr = expr + div * draw(st.sampled_from([-2, -1, 1, 3]))
+    return expr * draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(-3, 2)]))
+
+
+def _recomputed_items(poly: QPoly):
+    """``QPoly._canonical_items`` as it was computed before it was cached,
+    on a pickled copy, so that no div of it has a cached sort key yet."""
+    copy = pickle.loads(pickle.dumps(poly))
+
+    def symbol_key(sym):
+        return (0, sym) if isinstance(sym, str) else (1, repr(sym))
+
+    return tuple(sorted(copy.terms.items(), key=lambda it: (len(it[0]), [(symbol_key(s), e) for s, e in it[0]])))
+
+
+@given(quasi_affine(), quasi_affine(), st.integers(-3, 3))
+@settings(deadline=None)
+def test_cached_canonical_form_and_hash_match_a_recomputation(poly, other, shift):
+    # Warm the caches of the operands first: results built from them must
+    # compute their own canonical form, never inherit a stale one.
+    for operand in (poly, other):
+        hash(operand)
+        operand._canonical_items()
+    derived = [
+        poly,
+        poly + other,
+        poly - poly,
+        poly * 3,
+        -other,
+        poly.substitute({"i": QPoly.variable("j") + shift}),
+        floor_div(poly + other, 4),
+    ]
+    for value in derived:
+        items = _recomputed_items(value)
+        assert value._canonical_items() == items
+        assert value._canonical_items() is value._canonical_items()
+        assert hash(value) == hash(items) == hash(value)
+        assert value == QPoly(dict(value.terms)) and hash(QPoly(dict(value.terms))) == hash(value)
+        for div in value.divs():
+            assert hash(div) == hash((div.items, div.denominator))
+            assert div.sort_key() == (1, repr(div))
+
+
+def _normalized_uncached(constraint: Constraint) -> Constraint:
+    """``Constraint.normalized`` before it returned normalised constraints as is."""
+    coeffs, const = constraint.expr.affine_coefficients()
+    if not coeffs:
+        return constraint
+    lcm = 1
+    for d in [c.denominator for c in coeffs.values()] + [const.denominator]:
+        lcm = lcm * d // math.gcd(lcm, d)
+    scaled = {sym: c * lcm for sym, c in coeffs.items()}
+    scaled_const = const * lcm
+    gcd = 0
+    for c in scaled.values():
+        gcd = math.gcd(gcd, abs(c.numerator))
+    if gcd > 1:
+        scaled = {sym: Fraction(c.numerator // gcd) for sym, c in scaled.items()}
+        if constraint.kind == INEQ:
+            scaled_const = Fraction(scaled_const.numerator // (gcd * scaled_const.denominator))
+        elif scaled_const.numerator % gcd:
+            scaled = {sym: c * gcd for sym, c in scaled.items()}
+        else:
+            scaled_const = scaled_const / gcd
+    return Constraint(QPoly.from_affine(scaled, scaled_const), constraint.kind)
+
+
+@given(st.lists(st.tuples(quasi_affine(), st.sampled_from([EQ, INEQ, INEQ])), min_size=1, max_size=6))
+@settings(deadline=None)
+def test_normalized_fast_path_matches_the_slow_path(parts):
+    fast_system, slow_system = ConstraintSystem(), ConstraintSystem()
+    for expr, kind in parts:
+        constraint = Constraint(expr, kind)
+        fast, slow = constraint.normalized(), _normalized_uncached(constraint)
+        # Same terms in the same order: div expansion follows term order.
+        assert list(fast.expr.terms.items()) == list(slow.expr.terms.items())
+        assert fast.kind == slow.kind
+        assert list(fast.normalized().expr.terms.items()) == list(fast.expr.terms.items())
+        fast_system.add(fast, pre_normalized=True)
+        slow_system.add(slow, pre_normalized=True)
+    assert fast_system.constraints == slow_system.constraints
+    assert fast_system.has_trivially_false() == slow_system.has_trivially_false()
+    for names in (None, ["i"], ["j", "k"]):
+        fast_rows, fast_fresh = constraints._expand_divs(fast_system, names)
+        slow_rows, slow_fresh = constraints._expand_divs(slow_system, names)
+        assert (fast_rows.rows, fast_rows.contradiction, fast_fresh) == (
+            slow_rows.rows,
+            slow_rows.contradiction,
+            slow_fresh,
+        )
+
+
+def test_normalized_returns_a_normal_constraint_itself():
+    i, j = QPoly.variable("i"), QPoly.variable("j")
+    normal = Constraint(i * 2 - j * 3 + 5, INEQ)
+    assert normal.normalized() is normal
+    # Normal, but with the constant term first: rebuilt with it last.
+    constant_first = Constraint(QPoly.constant(5) + i * 2 - j * 3, INEQ)
+    rebuilt = constant_first.normalized()
+    assert rebuilt is not constant_first
+    assert list(rebuilt.expr.terms) == list(normal.expr.terms)
+    assert Constraint(i * 2 - j * 4 + 5, INEQ).normalized().expr == i - j * 2 + 2
+
+
+@given(bounded_systems(), st.randoms(use_true_random=False))
+@settings(deadline=None)
+def test_reordered_constraints_hit_the_feasibility_memo(case, random):
+    system, _ = case
+    assume(not system.has_trivially_false())
+    # Fresh objects (no cached hash, no shared identity), in another order.
+    parts = pickle.loads(pickle.dumps(system.constraints))
+    random.shuffle(parts)
+    reordered = ConstraintSystem(parts)
+    assert frozenset(reordered.constraints) == frozenset(system.constraints)
+    answer = feasible_rational(system)
+    before = feasibility_cache_info()
+    assert feasible_rational(reordered) == answer
+    after = feasibility_cache_info()
+    assert (after["hits"], after["misses"]) == (before["hits"] + 1, before["misses"])
+
+
+def test_trivially_false_is_recorded_on_add_and_copy():
+    system = ConstraintSystem([ge("i", 0), le("i", 3)])
+    assert not system.has_trivially_false()
+    clone = system.copy()
+    clone.add(ge(QPoly.constant(-1), 0))
+    assert clone.has_trivially_false() and not system.has_trivially_false()
+    assert clone.copy().has_trivially_false()
+    assert clone.conjoin(system).has_trivially_false()
+    assert system.conjoin(clone).has_trivially_false()
+    assert ConstraintSystem([eq(QPoly.constant(2), 0)]).has_trivially_false()
+    assert not ConstraintSystem([eq(QPoly.constant(0), 0), ge(QPoly.constant(4), 0)]).has_trivially_false()

@@ -166,7 +166,7 @@ class TestCostPrediction:
         smoke kernel.  (At the paper datasets they all trip — that is what
         the committed bench baselines record.)
         """
-        from repro.core.budget import BudgetExhausted
+        from repro.isl.work import BudgetExhausted
         from repro.verify.cost import DEFAULT_VERIFY_BUDGET
 
         scop = registry.get_kernel(kernel).build("mini")
