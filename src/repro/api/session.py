@@ -105,9 +105,9 @@ class Session:
         )
         self._budget: Optional[int] = None
         self._workers: int = 1
-        self._piece_workers: Optional[int] = None
         self._store_path: Optional[str] = None
         self._backend: str = "auto"
+        self._verify: str = "off"
         self._capacities: Tuple[int, ...] = ()
         self._tiles: Tuple[int, ...] = ()
         self._line_sizes: Tuple[int, ...] = ()
@@ -238,28 +238,6 @@ class Session:
         self._workers = count
         return self
 
-    def piece_workers(self, count: Union[int, str, None]) -> "Session":
-        """Intra-analysis parallelism for single analyses (:meth:`analyze`).
-
-        Splits the independent per-access capacity counts of *one* analysis
-        across ``count`` worker processes (``"auto"`` picks the machine
-        default, ``None`` restores the sequential path).  Results — including
-        the deterministic work accounting — are byte-identical for every
-        worker count; see :mod:`repro.core.parallel`.  Batch runs keep using
-        :meth:`workers` (one process per job) and ignore this knob.
-        """
-        if count is None:
-            self._piece_workers = None
-            return self
-        if count == "auto":
-            count = default_worker_count()
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-            raise SessionConfigError(
-                f"piece worker count must be >= 1, 'auto', or None, got {count!r}"
-            )
-        self._piece_workers = count
-        return self
-
     def store(self, path=_USE_DEFAULT_STORE, *, backend: Optional[str] = None) -> "Session":
         """Enable the persistent analysis store.
 
@@ -321,7 +299,7 @@ class Session:
         if options.store_path:
             self._store_path = options.store_path
         self._backend = options.backend
-        self._piece_workers = options.piece_workers
+        self._verify = options.verify
         self._capacities = tuple(options.curve_capacities or ())
         return self
 
@@ -352,7 +330,7 @@ class Session:
             symbolic_work_budget=self._budget,
             store_path=self._store_path,
             backend=self._backend,
-            piece_workers=self._piece_workers,
+            verify=self._verify,
             curve_capacities=self._capacities or None,
         )
 
@@ -544,17 +522,18 @@ class Session:
     def derive(self, *, machine=None, capacities=None) -> "Session":
         """A copy of this session with selected knobs replaced.
 
-        Budget, backend, store, worker counts, and model toggles carry over;
-        ``machine`` and ``capacities`` (when given) replace the originals.
+        Budget, backend, store, worker count, verify mode, and model toggles
+        carry over; ``machine`` and ``capacities`` (when given) replace the
+        originals.
         The explorer uses this to analyze each design-grid variant against
         its own single-level machine while sharing the parent's store.
         """
         clone = Session(machine if machine is not None else self._machine)
         clone._budget = self._budget
         clone._workers = self._workers
-        clone._piece_workers = self._piece_workers
         clone._store_path = self._store_path
         clone._backend = self._backend
+        clone._verify = self._verify
         clone._capacities = (
             self._capacities if capacities is None else tuple(capacities)
         )

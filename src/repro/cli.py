@@ -2,7 +2,7 @@
 
 Examples::
 
-    repro-haystack list
+    repro-haystack kernels
     repro-haystack kernels --json
     repro-haystack model gemm --dataset mini --l1 32768 --l2 1048576
     repro-haystack model gemm --dataset mini --machine paper-xeon
@@ -220,8 +220,6 @@ def _session_from_args(args, machine: MachineModel) -> Session:
         session.options(fallback=False)
     if getattr(args, "backend", None):
         session.backend(args.backend)
-    if getattr(args, "workers", None):
-        session.piece_workers(args.workers)
     path = _store_path(args)
     if path:
         session.store(path)
@@ -364,23 +362,11 @@ def _add_machine_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_cache_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("kernel", help="kernel name (see `list`)")
+    parser.add_argument("kernel", help="kernel name (see `kernels`)")
     parser.add_argument(
         "--dataset", default="mini", help="problem size class (default: mini)"
     )
     _add_machine_arguments(parser)
-
-
-def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="split the per-access capacity counts of this analysis across N "
-        "worker processes; results are byte-identical for every N (default: "
-        "sequential)",
-    )
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -417,8 +403,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("list", help="list the available kernel names")
-
     kernels_parser = subparsers.add_parser(
         "kernels", help="list registered kernels, datasets and machine presets"
     )
@@ -430,7 +414,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     _add_cache_arguments(model_parser)
     model_parser.add_argument("--no-fallback", action="store_true", help="fail instead of falling back to the trace")
     _add_budget_argument(model_parser)
-    _add_workers_argument(model_parser)
     _add_store_arguments(model_parser)
     _add_backend_argument(model_parser)
 
@@ -482,7 +465,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulator ways for --compare (default: fully associative)",
     )
     _add_budget_argument(analyze_parser)
-    _add_workers_argument(analyze_parser)
     _add_store_arguments(analyze_parser)
     _add_backend_argument(analyze_parser)
 
@@ -501,7 +483,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--kernel",
         default=None,
         metavar="NAME",
-        help="registered kernel to lint instead of a file (see `list`)",
+        help="registered kernel to lint instead of a file (see `kernels`)",
     )
     lint_parser.add_argument(
         "--dataset",
@@ -570,7 +552,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-fallback", action="store_true", help="fail instead of falling back to the trace"
     )
     _add_budget_argument(curve_parser)
-    _add_workers_argument(curve_parser)
     _add_store_arguments(curve_parser)
     _add_backend_argument(curve_parser)
 
@@ -632,7 +613,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--no-fallback", action="store_true", help="fail instead of falling back to the trace"
     )
     _add_budget_argument(explore_parser)
-    _add_workers_argument(explore_parser)
     _add_store_arguments(explore_parser)
     _add_backend_argument(explore_parser)
 
@@ -773,11 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "serve":
         return _run_serve(args)
-
-    if args.command == "list":
-        for name in registry.kernel_names():
-            print(name)
-        return 0
 
     if args.command == "kernels":
         return _run_kernels(args)

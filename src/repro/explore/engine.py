@@ -20,8 +20,7 @@ monotone proxy for the tag/comparator hardware a design spends: bigger
 caches cost more, and at a fixed capacity, higher associativity and the
 fully associative extreme cost more.  The Pareto front minimizes
 (total misses, cost); ranking and serialization are deterministic so the
-bench gate can hold the table byte-identical across backends and worker
-counts.
+bench gate can hold the table byte-identical across backends.
 
 The server's ``/v1/explore`` endpoint reuses :func:`build_result` over
 curves it obtained through the coalescing analyze path, so online and
@@ -228,7 +227,7 @@ def run_explore(
     schedule comes from :func:`repro.scop.schedule.tile_scop`, the machine is
     a single level sized to the largest explored capacity, and the whole
     capacity axis rides along as parametric curve breakpoints.  The session's
-    store, budget, backend, and worker knobs all apply, and every analysis is
+    store, budget, and backend knobs all apply, and every analysis is
     content-addressed by the tiled scop's structural fingerprint — a repeat
     grid is served entirely from the store.
     """

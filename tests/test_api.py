@@ -242,12 +242,14 @@ class TestSessionBuilder:
 
     def test_configure_adopts_model_options(self):
         options = ModelOptions(
-            equalization=False, fallback_to_simulation=False, symbolic_work_budget=42
+            equalization=False, fallback_to_simulation=False, symbolic_work_budget=42,
+            verify="error",
         )
         resolved = Session().configure(options).model_options()
         assert resolved.equalization is False
         assert resolved.fallback_to_simulation is False
         assert resolved.symbolic_work_budget == 42
+        assert resolved.verify == "error"
 
     def test_analyze_kernel_name_and_scop_agree(self):
         session = Session().machine("l1-tiny").budget(FAST_BUDGET)

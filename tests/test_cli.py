@@ -16,9 +16,12 @@ FAST = ["--budget", "200"]
 
 class TestList:
     def test_lists_all_kernels(self, capsys):
-        assert main(["list"]) == 0
+        assert main(["kernels"]) == 0
         printed = capsys.readouterr().out.split()
-        assert printed == kernel_names()
+        assert all(name in printed for name in kernel_names())
+        assert main(["kernels", "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["kernels"]
+        assert set(kernel_names()) <= {entry["name"] for entry in listed}
 
 
 class TestModel:

@@ -9,6 +9,7 @@ line-grained kernels are marked ``slow``.
 
 import pytest
 
+from repro.api import Session
 from repro.core import CacheLevelSpec, CacheModel, MachineModel, ModelOptions
 from repro.scop import ScopBuilder
 from repro.simulator import StackDistanceProfiler, TraceGenerator
@@ -135,3 +136,35 @@ def test_copy_kernel_line_granularity_exact():
 @pytest.mark.slow
 def test_gemm_line_granularity_exact():
     check_model_against_reference(build_gemm(6, 9, 5, element_size=8), [4 * LINE, 32 * LINE])
+
+
+# ----------------------------------------------------------------------
+# Work-budget trips: the fallback keeps counts exact
+# ----------------------------------------------------------------------
+def build_matvec(n):
+    b = ScopBuilder("matvec", context={"N": n}, element_size=LINE)
+    A = b.array("A", (n, n))
+    x = b.array("x", (n,))
+    y = b.array("y", (n,))
+    with b.loop("i", 0, n):
+        with b.loop("j", 0, n):
+            b.stmt(reads=[A[b.v("i"), b.v("j")], y[b.v("j")], x[b.v("i")]], writes=[x[b.v("i")]])
+    return b.build()
+
+
+def test_budget_trip_in_capacity_phase_falls_back_exactly():
+    # One L1 of 16 lines: y overflows it, x does not.  The stack-distance
+    # phase of this kernel charges 6123 units and the full analysis 6680, so
+    # a budget of 6128 trips inside the capacity phase.  The analysis charges
+    # exactly limit + 1 units (the charge that trips) and the trace fallback
+    # reproduces the unbudgeted symbolic counts.
+    session = Session().machine((16 * LINE,)).no_store()
+    symbolic = session.budget(0).analyze(build_matvec(12))
+    assert not symbolic.used_fallback
+    assert symbolic.timing.work_units_charged == 6680
+
+    tripped = session.budget(6128).analyze(build_matvec(12))
+    assert tripped.used_fallback
+    assert tripped.timing.work_units_charged == 6129
+    assert tripped.misses(0) == symbolic.misses(0)
+    assert tripped.level_results[0].compulsory == symbolic.level_results[0].compulsory
