@@ -8,7 +8,7 @@ systems in the higher layers.
 
 The module provides the operations the cache model pipeline needs:
 
-* normalisation, substitution and div expansion on ``QPoly`` constraints,
+* normalisation, substitution and div expansion of constraints,
 * Fourier-Motzkin projection with an exactness certificate for the cases
   where the integer projection equals the rational one (:func:`fm_eliminate`,
   used by parametric lexicographic optimisation),
@@ -17,14 +17,23 @@ The module provides the operations the cache model pipeline needs:
   and integer ranges (:func:`variable_range`) for explicit enumeration of
   integer points (test oracle and partial-enumeration fallback).
 
-Feasibility and ranges run on an integer-row kernel rather than on
-``QPoly`` arithmetic, the way isl keeps integer constraint matrices.  Each
-call converts the stored constraints to ``int`` rows once, expands every
-``floor`` div into a fresh ``__q{n}`` column with its two defining rows (in
-the order and under the names :meth:`ConstraintSystem.expand_divs` uses),
-then eliminates columns by Fourier-Motzkin on dense integer tuples.  Rows are
-normalised and deduplicated with the rules of :meth:`Constraint.normalized`
-and :meth:`ConstraintSystem.add`, so every answer equals the one exact
+The constraint layer works on integer rows rather than on ``QPoly``
+arithmetic, the way isl keeps integer constraint matrices.  Every
+constraint computes its row ``(is_eq, {symbol: coefficient}, constant)``
+once, in term order, and keeps it with its coefficient direction and hash
+(:meth:`Constraint.row`); ``ConstraintSystem.add`` deduplicates and keeps
+the tightest inequality per direction from them, and substitution, div
+expansion and :func:`fm_eliminate` merge rows in the order ``QPoly``
+arithmetic adds terms, so the stored constraints are the same, terms and
+their order included.  ``QPoly`` expressions are built only for the
+constraints the rows produce.
+
+Feasibility and ranges expand every ``floor`` div into a fresh ``__q{n}``
+column with its two defining rows (the rows of each div are computed once
+per :class:`~repro.isl.qpoly.Div`), then eliminate columns by
+Fourier-Motzkin on dense integer tuples.  Rows are normalised and
+deduplicated with the rules of :meth:`Constraint.normalized` and
+:meth:`ConstraintSystem.add`, so every answer equals the one exact
 ``Fraction`` arithmetic on the same constraints gives.  Past 24 variables or
 600 rows the test answers "feasible" unproved; :func:`feasibility_cache_info`
 counts those cut-offs along with the hits of the bounded LRU memo.
@@ -37,6 +46,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .qpoly import Div, QPoly, Symbol, floor_div
@@ -69,21 +79,88 @@ EQ = "eq"
 INEQ = "ineq"
 
 
-@dataclass(frozen=True)
 class Constraint:
-    """``expr == 0`` (kind ``eq``) or ``expr >= 0`` (kind ``ineq``)."""
+    """``expr == 0`` (kind ``eq``) or ``expr >= 0`` (kind ``ineq``).
 
-    expr: QPoly
-    kind: str
+    Instances are immutable by convention.  The integer row (:meth:`row`),
+    the coefficient direction and the hash are computed once, on first use,
+    and kept in slots; like the caches of ``QPoly`` they are per process,
+    and pickling (:meth:`__reduce__`) sends only the expression and kind.
+    Two constraints are equal when their kinds and terms are, whatever the
+    term order.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in (EQ, INEQ):
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if not self.expr.is_affine():
-            raise ValueError(f"constraint expression must be (quasi-)affine: {self.expr}")
+    __slots__ = ("expr", "kind", "_row", "_normal", "_direction", "_hash")
+
+    def __init__(self, expr: QPoly, kind: str) -> None:
+        if kind not in (EQ, INEQ):
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        if not expr.is_affine():
+            raise ValueError(f"constraint expression must be (quasi-)affine: {expr}")
+        self.expr = expr
+        self.kind = kind
+        self._row: Optional[Tuple[bool, Dict[Symbol, Any], Any]] = None
+        self._normal: Optional[bool] = None
+        self._direction: Optional[frozenset] = None
+        self._hash: Optional[int] = None
+
+    def __reduce__(self) -> Tuple[type, Tuple[QPoly, str]]:
+        return (Constraint, (self.expr, self.kind))
+
+    def row(self) -> Tuple[bool, Dict[Symbol, Any], Any]:
+        """``(is_eq, {symbol: coefficient}, constant)`` in term order.
+
+        Integral values are ``int``s (a normalised constraint has no other
+        kind); the others stay ``Fraction``s.  The dict must not be mutated.
+        """
+        row = self._row
+        if row is None:
+            coeffs: Dict[Symbol, Any] = {}
+            const: Any = 0
+            integral = True
+            last = None
+            for monomial, value in self.expr.terms.items():
+                if value.denominator == 1:
+                    value = value.numerator
+                else:
+                    integral = False
+                if monomial:
+                    coeffs[monomial[0][0]] = value
+                else:
+                    const = value
+                last = monomial
+            row = self._row = (self.kind == EQ, coeffs, const)
+            # What ``normalized`` returns as is: coprime integer coefficients
+            # with the constant, if any, as the last term; or no variable.
+            self._normal = not coeffs or (integral and _gcd(*coeffs.values()) == 1 and (const == 0 or last == ()))
+        return row
+
+    def direction(self) -> frozenset:
+        """The ``(symbol, coefficient)`` pairs, as an unordered key."""
+        direction = self._direction
+        if direction is None:
+            direction = self._direction = frozenset(self.row()[1].items())
+        return direction
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            row = self.row()
+            value = self._hash = hash((row[0], self.direction(), row[2]))
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Constraint):
+            return NotImplemented
+        mine, theirs = self.row(), other.row()
+        return mine[0] == theirs[0] and mine[2] == theirs[2] and mine[1] == theirs[1]
 
     def substitute(self, assignment: Mapping[str, Union[QPoly, int, Fraction]]) -> "Constraint":
-        return Constraint(self.expr.substitute(assignment), self.kind)
+        """The substituted constraint; ``self`` when no assigned name occurs."""
+        expr = self.expr.substitute(assignment)
+        return self if expr is self.expr else Constraint(expr, self.kind)
 
     def negate(self) -> List["Constraint"]:
         """Return constraints describing the integer complement.
@@ -93,21 +170,22 @@ class Constraint:
         returned as a list and it is the caller's responsibility to build the
         union.
         """
+        is_eq, coeffs, const = self._row or self.row()
+        if self._normal and coeffs:
+            # Integer rows: the terms ``-expr - 1`` has, without the arithmetic.
+            negated = _constraint_of(False, {sym: -value for sym, value in coeffs.items()}, -const - 1)
+            return [_constraint_of(False, coeffs, const - 1), negated] if is_eq else [negated]
         if self.kind == INEQ:
             return [Constraint(-self.expr - 1, INEQ)]
         return [Constraint(self.expr - 1, INEQ), Constraint(-self.expr - 1, INEQ)]
 
     def is_trivially_true(self) -> bool:
-        if not self.expr.is_constant():
-            return False
-        value = self.expr.constant_value()
-        return value == 0 if self.kind == EQ else value >= 0
+        is_eq, coeffs, const = self.row()
+        return not coeffs and (const == 0 if is_eq else const >= 0)
 
     def is_trivially_false(self) -> bool:
-        if not self.expr.is_constant():
-            return False
-        value = self.expr.constant_value()
-        return value != 0 if self.kind == EQ else value < 0
+        is_eq, coeffs, const = self.row()
+        return not coeffs and (const != 0 if is_eq else const < 0)
 
     def normalized(self) -> "Constraint":
         """Scale to coprime integer coefficients (and tighten inequalities).
@@ -120,20 +198,12 @@ class Constraint:
         constant term is the last term (where the rebuilt expression puts
         it), so the terms keep their order either way.
         """
-        terms = self.expr.terms
-        integral = True
-        gcd = 0
-        for monomial, coeff in terms.items():
-            if coeff.denominator != 1:
-                integral = False
-                break
-            if monomial:
-                gcd = _gcd(gcd, coeff.numerator)
-        if integral and gcd == 1 and (() not in terms or next(reversed(terms)) == ()):
+        is_eq, coeffs, const = self._row or self.row()
+        if self._normal:
             return self
+        if type(const) is int and all(type(value) is int for value in coeffs.values()):
+            return _normalized_row(is_eq, coeffs, const)
         coeffs, const = self.expr.affine_coefficients()
-        if not coeffs:
-            return self
         denominators = [c.denominator for c in coeffs.values()] + [const.denominator]
         lcm = 1
         for d in denominators:
@@ -165,6 +235,35 @@ class Constraint:
 #: Alias so call sites read the same as before; ``math.gcd`` is C-implemented
 #: and sits on the constraint-normalisation hot path.
 _gcd = math.gcd
+
+
+def _normalized_row(is_eq: bool, coeffs: Dict[Symbol, int], const: int) -> Constraint:
+    """:meth:`Constraint.normalized` of an integer row."""
+    g = _gcd(*coeffs.values())
+    # An equality whose constant ``g`` does not divide keeps its
+    # coefficients, as in ``normalized``.
+    if g > 1 and (not is_eq or not const % g):
+        coeffs = {sym: value // g for sym, value in coeffs.items()}
+        const //= g
+    return _constraint_of(is_eq, coeffs, const)
+
+
+def _constraint_of(is_eq: bool, coeffs: Dict[Symbol, int], const: int) -> Constraint:
+    """The constraint of a normalised integer row, with the row cached.
+
+    Its terms are those :meth:`Constraint.normalized` builds: the variables
+    in row order, then the constant.
+    """
+    terms = {((sym, 1),): Fraction(value) for sym, value in coeffs.items()}
+    if const:
+        terms[()] = Fraction(const)
+    constraint = Constraint.__new__(Constraint)
+    constraint.expr = QPoly._of(terms)
+    constraint.kind = EQ if is_eq else INEQ
+    constraint._row = (is_eq, coeffs, const)
+    constraint._normal = not coeffs or _gcd(*coeffs.values()) == 1
+    constraint._direction = constraint._hash = None
+    return constraint
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +319,7 @@ class ConstraintSystem:
         self.constraints: List[Constraint] = []
         #: Every normalised constraint added so far, kept or subsumed.
         self._keys: set = set()
-        #: For inequalities: canonical coefficient vector -> index into
+        #: For inequalities: :meth:`Constraint.direction` -> index into
         #: ``constraints``; used to keep only the tightest bound per direction.
         self._ineq_by_coeffs: Dict[Tuple, int] = {}
         #: Whether a trivially false constraint was added.
@@ -233,34 +332,34 @@ class ConstraintSystem:
     # Construction helpers
     # ------------------------------------------------------------------
     def add(self, constraint: Constraint, *, pre_normalized: bool = False) -> None:
-        if constraint.is_trivially_true():
-            return
+        """Add ``constraint`` normalised, unless it is trivially true or
+        already implied.
+
+        Exact duplicates are dropped, and only the tightest inequality per
+        coefficient direction is kept, in the slot of the first one.
+        ``pre_normalized`` promises that ``constraint.normalized()`` is
+        ``constraint`` or equal to it, e.g. for a constraint stored in
+        another system.
+        """
         normalized = constraint if pre_normalized else constraint.normalized()
+        is_eq, coeffs, const = normalized._row or normalized.row()
+        if not coeffs and (const == 0 if is_eq else const >= 0):
+            return
         if normalized in self._keys:
             return
-        false = normalized.is_trivially_false()
-        if normalized.kind == INEQ and not false:
-            # Keep only the tightest inequality per coefficient direction:
-            # a.x + c1 >= 0 subsumes a.x + c2 >= 0 whenever c1 <= c2.
-            const = normalized.expr.constant_value()
-            # The constant term, if any, sorts first in the canonical items.
-            items = normalized.expr._canonical_items()
-            coeff_key = items[1:] if items[0][0] == () else items
-            existing_index = self._ineq_by_coeffs.get(coeff_key)
-            if existing_index is not None:
-                existing = self.constraints[existing_index]
-                if existing.expr.constant_value() <= const:
-                    return
-                self.constraints[existing_index] = normalized
-                self._keys.add(normalized)
-                return
-            self._keys.add(normalized)
-            self._ineq_by_coeffs[coeff_key] = len(self.constraints)
-            self.constraints.append(normalized)
-            return
         self._keys.add(normalized)
+        if not coeffs:
+            self._false = True
+        elif not is_eq:
+            # a.x + c1 >= 0 subsumes a.x + c2 >= 0 whenever c1 <= c2.
+            direction = normalized.direction()
+            existing_index = self._ineq_by_coeffs.get(direction)
+            if existing_index is not None:
+                if self.constraints[existing_index].row()[2] > const:
+                    self.constraints[existing_index] = normalized
+                return
+            self._ineq_by_coeffs[direction] = len(self.constraints)
         self.constraints.append(normalized)
-        self._false |= false
 
     def copy(self) -> "ConstraintSystem":
         clone = ConstraintSystem()
@@ -282,7 +381,19 @@ class ConstraintSystem:
         return clone
 
     def substitute(self, assignment: Mapping[str, Union[QPoly, int, Fraction]]) -> "ConstraintSystem":
-        return ConstraintSystem(c.substitute(assignment) for c in self.constraints)
+        """The system of the substituted constraints, added in order.
+
+        Constraints that mention no assigned name are reused as they are.
+        The others are substituted on their rows, unless a div mentions an
+        assigned name or a value is not affine; either way a constraint
+        becomes ``constraint.substitute(assignment).normalized()``, terms
+        and their order included.
+        """
+        out = ConstraintSystem()
+        values: Dict[str, Optional[Tuple[Dict[Symbol, Any], Any]]] = {}
+        for constraint in self.constraints:
+            out.add(_substituted(constraint, assignment, values), pre_normalized=True)
+        return out
 
     # ------------------------------------------------------------------
     # Introspection
@@ -297,7 +408,15 @@ class ConstraintSystem:
         return self._false
 
     def involves(self, name: str) -> bool:
-        return any(c.expr.involves(name) for c in self.constraints)
+        """Whether ``name`` occurs in a constraint, also inside a div."""
+        for constraint in self.constraints:
+            coeffs = (constraint._row or constraint.row())[1]
+            if name in coeffs:
+                return True
+            for sym in coeffs:
+                if not isinstance(sym, str) and name in sym.variables():
+                    return True
+        return False
 
     def divs_involving(self, names: Sequence[str]) -> List[Div]:
         """Divs whose argument mentions any of ``names`` (recursively)."""
@@ -309,7 +428,7 @@ class ConstraintSystem:
                 if div in seen:
                     continue
                 seen.add(div)
-                if div.argument().free_variables() & name_set:
+                if div.variables() & name_set:
                     found.append(div)
         return found
 
@@ -330,31 +449,77 @@ class ConstraintSystem:
         original divs.  Divs that only involve other symbols (parameters) are
         left untouched; they are constants of the sub-problem.
         """
-        targets = self.divs_involving(names)
-        if not targets:
+        rows, fresh, divs = _expand_divs(self, names, prefix, keep_false=True)
+        if not fresh:
             return self, [], {}
-        system = self
-        fresh: List[str] = []
-        mapping: Dict[str, Div] = {}
-        counter = 0
-        while targets:
-            div = targets[0]
-            var = f"{prefix}{counter}"
-            counter += 1
-            fresh.append(var)
-            mapping[var] = div
-            replacement = QPoly.variable(var)
-            rewritten = ConstraintSystem()
-            for constraint in system.constraints:
-                rewritten.add(Constraint(_replace_div(constraint.expr, div, replacement), constraint.kind))
-            # The argument keeps its own (nested) divs even when they were
-            # expanded before; they are then expanded again under a new name.
-            argument = div.argument()
-            rewritten.add(ge(argument - QPoly.variable(var) * div.denominator, 0))
-            rewritten.add(le(argument - QPoly.variable(var) * div.denominator, div.denominator - 1))
-            system = rewritten
-            targets = system.divs_involving(list(names) + fresh)
-        return system, fresh, mapping
+        system = ConstraintSystem()
+        for is_eq, coeffs, const in rows.rows:
+            system.add(_constraint_of(is_eq, coeffs, const), pre_normalized=True)
+        return system, fresh, dict(zip(fresh, divs))
+
+
+def _value_row(value: Union[QPoly, int, Fraction]) -> Optional[Tuple[Dict[Symbol, Any], Any]]:
+    """``(coefficients, constant)`` of an affine value, ``None`` otherwise."""
+    if not isinstance(value, QPoly):
+        value = Fraction(value)
+        return {}, value.numerator if value.denominator == 1 else value
+    coeffs: Dict[Symbol, Any] = {}
+    const: Any = 0
+    for monomial, coeff in value.terms.items():
+        coeff = coeff.numerator if coeff.denominator == 1 else coeff
+        if not monomial:
+            const = coeff
+        elif len(monomial) == 1 and monomial[0][1] == 1:
+            coeffs[monomial[0][0]] = coeff
+        else:
+            return None
+    return coeffs, const
+
+
+def _substituted(
+    constraint: Constraint,
+    assignment: Mapping[str, Union[QPoly, int, Fraction]],
+    values: Dict[str, Optional[Tuple[Dict[Symbol, Any], Any]]],
+) -> Constraint:
+    """``constraint.substitute(assignment).normalized()`` for a stored
+    (normalised) constraint; ``values`` caches the rows of the values.
+
+    On rows, the terms are merged in the order ``QPoly.substitute`` adds
+    them; only the order of the variable terms matters, as normalising puts
+    the constant last.  A div that mentions an assigned name, or a value
+    that is not affine, takes the ``QPoly`` path.
+    """
+    is_eq, coeffs, const = constraint._row or constraint.row()
+    touched = False
+    for sym in coeffs:
+        if isinstance(sym, str):
+            if sym in assignment:
+                touched = True
+                if sym not in values:
+                    values[sym] = _value_row(assignment[sym])
+                if values[sym] is None:
+                    break
+        elif not assignment.keys().isdisjoint(sym.variables()):
+            break
+    else:
+        if not touched:
+            return constraint
+        terms: Dict[Symbol, Any] = {}
+        get = terms.get
+        for sym, coeff in coeffs.items():
+            value = values.get(sym) if isinstance(sym, str) else None
+            for term, part in value[0].items() if value is not None else ((sym, 1),):
+                total = get(term, 0) + coeff * part
+                if total:
+                    terms[term] = total
+                else:
+                    del terms[term]
+            if value is not None:
+                const += coeff * value[1]
+        if type(const) is int and all(type(coeff) is int for coeff in terms.values()):
+            return _normalized_row(is_eq, terms, const)
+        return Constraint(QPoly.from_affine(terms, const), constraint.kind).normalized()
+    return constraint.substitute(assignment).normalized()
 
 
 def _replace_div(poly: QPoly, div: Div, replacement: QPoly) -> QPoly:
@@ -454,15 +619,42 @@ def fm_eliminate(system: ConstraintSystem, name: str, *, require_exact: bool = F
         for aux in [name] + fresh:
             result = fm_eliminate(result, aux, require_exact=require_exact)
         return result
-    lowers, uppers, rest = bounds_for(system, name)
-    exact = all(b.coeff == 1 for b in lowers) or all(b.coeff == 1 for b in uppers)
+    # The bounds of ``bounds_for`` as rows ``(expr coefficients, expr
+    # constant, coeff)``: ``coeff * v >= expr`` or ``coeff * v <= expr``.
+    lowers: List[Tuple[Dict[Symbol, int], int, int]] = []
+    uppers: List[Tuple[Dict[Symbol, int], int, int]] = []
+    out = ConstraintSystem()
+    for constraint in system.constraints:
+        is_eq, coeffs, const = constraint._row or constraint.row()
+        a = coeffs.get(name)
+        if not a:
+            out.add(constraint, pre_normalized=True)
+            continue
+        remainder = dict(coeffs)
+        del remainder[name]
+        if a > 0:
+            bound = ({sym: -value for sym, value in remainder.items()}, -const, a)
+        else:
+            bound = (remainder, const, -a)
+        if is_eq or a > 0:
+            lowers.append(bound)
+        if is_eq or a < 0:
+            uppers.append(bound)
+    exact = all(low[2] == 1 for low in lowers) or all(up[2] == 1 for up in uppers)
     if require_exact and not exact:
         raise NonExactProjectionError(f"projection of {name} cannot be certified exact")
-    out = ConstraintSystem(rest)
-    for low in lowers:
-        for up in uppers:
-            # low.expr / low.coeff <= v <= up.expr / up.coeff
-            out.add(ge(up.expr * low.coeff - low.expr * up.coeff, 0))
+    for low, low_const, low_coeff in lowers:
+        for up, up_const, up_coeff in uppers:
+            # low / low_coeff <= v <= up / up_coeff: the terms of
+            # ``up * low_coeff - low * up_coeff``, in ``QPoly`` order.
+            terms = {sym: value * low_coeff for sym, value in up.items()}
+            for sym, value in low.items():
+                total = terms.get(sym, 0) - value * up_coeff
+                if total:
+                    terms[sym] = total
+                else:
+                    del terms[sym]
+            out.add(_normalized_row(False, terms, up_const * low_coeff - low_const * up_coeff), pre_normalized=True)
     return out
 
 
@@ -502,7 +694,10 @@ def substitute_equalities(system: ConstraintSystem, names: Sequence[str]) -> Tup
 # ----------------------------------------------------------------------
 # Rational feasibility on integer rows
 # ----------------------------------------------------------------------
-#: Elimination gives up and answers "feasible" past this many rows.
+#: Elimination gives up and answers "feasible" past this many variables
+#: (after div expansion) ...
+_MAX_VARS = 24
+#: ... or this many rows.
 _MAX_ROWS = 600
 
 
@@ -514,14 +709,20 @@ class _Rows:
     ``coeffs`` is a ``{symbol: int}`` dict while divs are expanded (in the
     term order of the constraint it came from, which decides the order divs
     are expanded in) and a tuple over fixed columns during elimination.
+    ``directions`` holds the coefficient key of each row: the tuple itself,
+    or the frozenset of a dict's items.
     """
 
-    __slots__ = ("rows", "contradiction", "_keys", "_ineq_at")
+    __slots__ = ("rows", "directions", "contradiction", "keep_false", "_keys", "_ineq_at")
 
-    def __init__(self) -> None:
+    def __init__(self, keep_false: bool = False) -> None:
         self.rows: List[Tuple[bool, Any, int]] = []
+        self.directions: List[Any] = []
         #: Set once a constant row that does not hold was added.
         self.contradiction = False
+        #: Whether such rows are kept too (once each, in their slot), as a
+        #: :class:`ConstraintSystem` keeps trivially false constraints.
+        self.keep_false = keep_false
         self._keys: set = set()
         self._ineq_at: Dict[Any, int] = {}
 
@@ -531,12 +732,18 @@ class _Rows:
         Normalisation is :meth:`Constraint.normalized` on integers; then, as
         in :meth:`ConstraintSystem.add`, exact duplicates are dropped and only
         the tightest inequality per coefficient direction is kept, in the slot
-        of the first one.  Constant rows are not kept.
+        of the first one.  Constant rows are not kept, unless
+        ``keep_false`` and they do not hold.
         """
         dense = type(coeffs) is tuple
         g = _gcd(*(coeffs if dense else coeffs.values()))
         if not g:
-            self.contradiction |= const != 0 if is_eq else const < 0
+            if const != 0 if is_eq else const < 0:
+                self.contradiction = True
+                if self.keep_false and (is_eq, _NO_TERMS, const) not in self._keys:
+                    self._keys.add((is_eq, _NO_TERMS, const))
+                    self.rows.append((is_eq, {}, const))
+                    self.directions.append(_NO_TERMS)
             return
         if g > 1 and is_eq and const % g:
             # ``normalized`` keeps such an equality in its lcm-scaled form.
@@ -544,7 +751,15 @@ class _Rows:
         if g > 1:
             coeffs = tuple(x // g for x in coeffs) if dense else {sym: x // g for sym, x in coeffs.items()}
             const //= g
-        direction = coeffs if dense else frozenset(coeffs.items())
+        self.insert(is_eq, coeffs, const, coeffs if dense else frozenset(coeffs.items()))
+
+    def insert(self, is_eq: bool, coeffs: Any, const: int, direction: Any) -> None:
+        """:meth:`add` for a normalised, non-constant row and its direction.
+
+        Normalising a row kept by :meth:`add` gives the row itself, so rows
+        of one ``_Rows`` (and stored constraints) may be inserted into
+        another as they are.
+        """
         key = (is_eq, direction, const)
         if key in self._keys:
             return
@@ -557,56 +772,29 @@ class _Rows:
                 return
             self._ineq_at[direction] = len(self.rows)
         self.rows.append((is_eq, coeffs, const))
+        self.directions.append(direction)
 
 
-def _div_variables(div: Div) -> set:
-    names: set = set()
-    for monomial, _ in div.items:
-        for sym, _exp in monomial:
-            names |= {sym} if isinstance(sym, str) else _div_variables(sym)
-    return names
+_NO_TERMS: frozenset = frozenset()
 
 
-class _DivTable:
-    """The divs of one call as ``int`` symbols.
+def _first_div(rows: List[Tuple[bool, Dict[Symbol, int], int]], wanted: Optional[set]) -> Optional[Div]:
+    """First div (row order, then term order) with a free variable in ``wanted``."""
+    for _, coeffs, _ in rows:
+        for sym in coeffs:
+            if not isinstance(sym, str):
+                free = sym.variables()
+                if free if wanted is None else not free.isdisjoint(wanted):
+                    return sym
+    return None
 
-    Hashing a :class:`Div` walks its ``Fraction`` items, so each distinct div
-    is hashed once, here, and rows use its index.
-    """
 
-    __slots__ = ("ids", "divs", "variables")
-
-    def __init__(self) -> None:
-        self.ids: Dict[Div, int] = {}
-        self.divs: List[Div] = []
-        self.variables: List[set] = []
-
-    def symbol(self, sym: Symbol) -> Union[str, int]:
-        if isinstance(sym, str):
-            return sym
-        index = self.ids.get(sym)
-        if index is None:
-            index = self.ids[sym] = len(self.divs)
-            self.divs.append(sym)
-            self.variables.append(_div_variables(sym))
-        return index
-
-    def first(self, rows: _Rows, wanted: Optional[set]) -> Optional[int]:
-        """First div (row order, then term order) with a free variable in ``wanted``."""
-        seen: set = set()
-        for _, coeffs, _ in rows.rows:
-            for sym in coeffs:
-                if type(sym) is int and sym not in seen:
-                    seen.add(sym)
-                    free = self.variables[sym]
-                    if free if wanted is None else free & wanted:
-                        return sym
-        return None
-
-    def definition(self, index: int, var: str) -> List[Tuple[Dict[Union[str, int], int], int]]:
-        """``arg - d*var >= 0`` and ``d - 1 - arg + d*var >= 0`` as integer rows."""
-        div = self.divs[index]
-        terms: Dict[Union[str, int], Fraction] = {}
+def _definition(div: Div, var: str) -> List[Tuple[Dict[Symbol, int], int]]:
+    """``arg - d*var >= 0`` and ``d - 1 - arg + d*var >= 0`` as integer rows,
+    both scaled to integers; the argument's part is computed once per div."""
+    cached = div._rows
+    if cached is None:
+        terms: Dict[Symbol, Fraction] = {}
         const = Fraction(0)
         for monomial, value in div.items:
             if not monomial:
@@ -614,85 +802,135 @@ class _DivTable:
             elif len(monomial) != 1 or monomial[0][1] != 1:
                 raise ValueError(f"constraint expression must be (quasi-)affine: {div}")
             else:
-                terms[self.symbol(monomial[0][0])] = value
-        total = terms.get(var, 0) - div.denominator
-        if total:
-            terms[var] = total
-        else:
-            terms.pop(var, None)
+                terms[monomial[0][0]] = value
         scale = math.lcm(const.denominator, *(value.denominator for value in terms.values()))
-        low = {sym: int(value * scale) for sym, value in terms.items()}
         low_const = int(const * scale)
-        high = {sym: -value for sym, value in low.items()}
-        return [(low, low_const), (high, (div.denominator - 1) * scale - low_const)]
+        cached = (
+            {sym: int(value * scale) for sym, value in terms.items()},
+            low_const,
+            div.denominator * scale,
+            (div.denominator - 1) * scale - low_const,
+        )
+        object.__setattr__(div, "_rows", cached)
+    argument, low_const, step, high_const = cached
+    low = dict(argument)
+    total = low.get(var, 0) - step
+    if total:
+        low[var] = total
+    else:
+        low.pop(var, None)
+    return [(low, low_const), ({sym: -value for sym, value in low.items()}, high_const)]
 
 
-def _expand_divs(system: ConstraintSystem, names: Optional[Sequence[str]]) -> Tuple[_Rows, List[str]]:
+def _expand_divs(
+    system: ConstraintSystem,
+    names: Optional[Sequence[str]],
+    prefix: str = "__q",
+    *,
+    keep_false: bool = False,
+) -> Tuple[_Rows, List[str], List[Div]]:
     """Integer rows of ``system`` with divs renamed to existential columns.
 
-    Follows :meth:`ConstraintSystem.expand_divs`: the same divs (those whose
-    argument mentions ``names``; every div with a free variable when
-    ``names`` is None) are expanded in the same order under the same
-    ``__q{n}`` names.  Returns the rows and the fresh names; divs left
-    unexpanded stay as ``int`` symbols.
+    The divs whose argument mentions ``names`` (every div with a free
+    variable when ``names`` is None) are expanded one at a time, the first
+    in row order and then term order first, each under the next name
+    ``{prefix}{n}``: the div's term in every row is renamed, and the div's
+    two defining rows follow, each added the way
+    :meth:`ConstraintSystem.add` adds constraints.  The argument keeps its
+    own (nested) divs even when they were expanded before; they are then
+    expanded again under a new name.  Returns the rows, the fresh names and
+    the div of each; divs left unexpanded stay as :class:`Div` symbols.
+    The rows are final: their dedup tables need not hold every row, so
+    nothing may be added to them.
     """
-    table = _DivTable()
-    rows = _Rows()
+    rows = _Rows(keep_false)
+    # The stored constraints are normalised, distinct, and one per
+    # inequality direction: their cached rows are the rows, with no dedup.
     for constraint in system.constraints:
-        # Stored constraints are normalised: every coefficient is an integer.
-        coeffs: Dict[Union[str, int], int] = {}
-        const = 0
-        for monomial, value in constraint.expr.terms.items():
-            if monomial:
-                coeffs[table.symbol(monomial[0][0])] = value.numerator
-            else:
-                const = value.numerator
-        rows.add(constraint.kind == EQ, coeffs, const)
+        row = constraint._row or constraint.row()
+        if not row[1]:
+            # Stored constant constraints are false ones.
+            rows.contradiction = True
+            if not keep_false:
+                continue
+        rows.rows.append(row)
+        rows.directions.append(constraint._direction or constraint.direction())
     wanted = None if names is None else set(names)
     fresh: List[str] = []
-    div = table.first(rows, wanted)
+    divs: List[Div] = []
+    div = _first_div(rows.rows, wanted)
     while div is not None:
-        var = f"__q{len(fresh)}"
+        var = f"{prefix}{len(fresh)}"
         fresh.append(var)
+        divs.append(div)
         if wanted is not None:
             wanted.add(var)
-        out = _Rows()
+        out = _Rows(keep_false)
         out.contradiction = rows.contradiction
-        for is_eq, coeffs, const in rows.rows:
-            if div in coeffs:
-                # Rename like ``QPoly`` addition: a fresh name that is already
-                # a variable of the row merges into it, in its slot.
-                renamed: Dict[Union[str, int], int] = {}
-                for sym, value in coeffs.items():
-                    sym = var if sym == div else sym
-                    total = renamed.get(sym, 0) + value
-                    if total:
-                        renamed[sym] = total
-                    else:
-                        renamed.pop(sym, None)
-                coeffs = renamed
-            out.add(is_eq, coeffs, const)
-        for coeffs, const in table.definition(div, var):
-            out.add(False, coeffs, const)
+        add, insert = out.add, out.insert
+        if var in div.variables() or any(var in coeffs for _, coeffs, _ in rows.rows):
+            # A variable of the system has the fresh name: re-add every row.
+            for row, direction in zip(rows.rows, rows.directions):
+                is_eq, coeffs, const = row
+                if div in coeffs:
+                    # Rename like ``QPoly`` addition: a fresh name that is
+                    # already a variable of the row merges into it, in its slot.
+                    renamed: Dict[Symbol, int] = {}
+                    for sym, value in coeffs.items():
+                        if not isinstance(sym, str) and sym == div:
+                            sym = var
+                        total = renamed.get(sym, 0) + value
+                        if total:
+                            renamed[sym] = total
+                        else:
+                            renamed.pop(sym, None)
+                    add(is_eq, renamed, const)
+                elif coeffs:
+                    insert(is_eq, coeffs, const, direction)
+                else:
+                    add(is_eq, coeffs, const)
+        else:
+            # Renamed and defining rows all have a ``var`` term and the other
+            # rows none, so only the former can meet a duplicate or a row of
+            # the same direction: the others are kept as they are, unhashed.
+            # Renaming keeps a row normalised.
+            for row, direction in zip(rows.rows, rows.directions):
+                is_eq, coeffs, const = row
+                if div in coeffs:
+                    renamed = {
+                        (var if not isinstance(sym, str) and sym == div else sym): value
+                        for sym, value in coeffs.items()
+                    }
+                    insert(is_eq, renamed, const, frozenset(renamed.items()))
+                else:
+                    out.rows.append(row)
+                    out.directions.append(direction)
+        for coeffs, const in _definition(div, var):
+            add(False, coeffs, const)
         rows = out
-        div = table.first(rows, wanted)
-    return rows, fresh
+        div = _first_div(rows.rows, wanted)
+    return rows, fresh, divs
 
 
-def _dense(rows: _Rows) -> Tuple[List[Union[str, int]], List[Tuple[bool, tuple, int]]]:
+def _dense(rows: _Rows) -> Tuple[List[Symbol], List[Tuple[bool, tuple, int]]]:
     """The columns (variables, then unexpanded divs) and the rows over them."""
     symbols = list(dict.fromkeys(sym for _, coeffs, _ in rows.rows for sym in coeffs))
     symbols.sort(key=lambda sym: not isinstance(sym, str))
-    return symbols, [(is_eq, tuple(coeffs.get(sym, 0) for sym in symbols), const) for is_eq, coeffs, const in rows.rows]
+    return symbols, [(is_eq, tuple(map(coeffs.get, symbols, repeat(0))), const) for is_eq, coeffs, const in rows.rows]
 
 
-def _eliminate(rows: List[Tuple[bool, tuple, int]], column: int) -> _Rows:
+def _eliminate(rows: List[Tuple[bool, tuple, int]], column: int, *, stop: bool = False) -> _Rows:
     """One Fourier-Motzkin step on dense rows.
 
     The first equality involving ``column`` is substituted into the other
     rows; without one, every lower bound is combined with every upper bound.
+    Rows without ``column`` are kept as they are.  ``rows`` must be distinct
+    and hold one inequality per direction, as the rows of a ``_Rows`` do.
+    With ``stop``, the step ends at the first constant row that does not
+    hold, leaving the other rows out.
     """
     out = _Rows()
+    add, insert = out.add, out.insert
     pivot = next((row for row in rows if row[0] and row[1][column]), None)
     if pivot is not None:
         _, pivot_coeffs, pivot_const = pivot
@@ -705,17 +943,26 @@ def _eliminate(rows: List[Tuple[bool, tuple, int]], column: int) -> _Rows:
             q = -coeffs[column] * sign
             if q:
                 # |a| * (row - b/a * pivot): an integer row, |a| times the rational one.
-                coeffs = tuple(p * x + q * y for x, y in zip(coeffs, pivot_coeffs))
-                out.add(is_eq, coeffs, p * const + q * pivot_const, p)
+                add(is_eq, tuple(p * x + q * y for x, y in zip(coeffs, pivot_coeffs)), p * const + q * pivot_const, p)
+                if stop and out.contradiction:
+                    break
             else:
-                out.add(is_eq, coeffs, const)
+                insert(is_eq, coeffs, const, coeffs)
         return out
     lowers = []
     uppers = []
+    kept, directions, ineq_at = out.rows, out.directions, out._ineq_at
     for row in rows:
-        b = row[1][column]
+        coeffs = row[1]
+        b = coeffs[column]
         if not b:
-            out.add(*row)
+            # The rows are distinct, and these come first: keep them as they
+            # are.  The combinations are inequalities, so the direction
+            # table alone checks them against these.
+            if not row[0]:
+                ineq_at[coeffs] = len(kept)
+            kept.append(row)
+            directions.append(coeffs)
         elif b > 0:
             lowers.append(row)
         else:
@@ -724,13 +971,15 @@ def _eliminate(rows: List[Tuple[bool, tuple, int]], column: int) -> _Rows:
         p = low[column]
         for _, up, up_const in uppers:
             q = -up[column]
-            out.add(False, tuple(p * u + q * l for l, u in zip(low, up)), p * up_const + q * low_const)
+            add(False, tuple(p * u + q * l for l, u in zip(low, up)), p * up_const + q * low_const)
+            if stop and out.contradiction:
+                return out
     return out
 
 
 def _feasible_rows(system: ConstraintSystem, max_vars: int) -> Tuple[bool, Optional[str]]:
     """The answer, and the cut-off (``vars_cutoffs``/``rows_cutoffs``) that gave it, if any."""
-    expanded, _ = _expand_divs(system, None)
+    expanded = _expand_divs(system, None)[0]
     symbols, rows = _dense(expanded)
     remaining = [sym for sym in symbols if isinstance(sym, str)]
     if len(remaining) > max_vars:
@@ -743,7 +992,7 @@ def _feasible_rows(system: ConstraintSystem, max_vars: int) -> Tuple[bool, Optio
         occurrences = {name: len(rows) - columns[column_of[name]].count(0) for name in remaining}
         name = min(remaining, key=lambda n: (occurrences[n], n))
         remaining.remove(name)
-        step = _eliminate(rows, column_of[name])
+        step = _eliminate(rows, column_of[name], stop=True)
         rows, contradiction = step.rows, step.contradiction
         if not contradiction and len(rows) > _MAX_ROWS:
             return True, "rows_cutoffs"
@@ -800,12 +1049,12 @@ def feasibility_cache_info() -> Dict[str, int]:
     ``hits``/``misses``/``evictions``/``size``/``maxsize`` describe the LRU
     memo.  ``vars_cutoffs`` and ``rows_cutoffs`` count the uncached calls
     answered "feasible" without a proof, because the system had more than
-    ``max_vars`` variables or elimination grew past 600 rows.
+    24 variables or elimination grew past 600 rows.
     """
     return _FEASIBILITY_MEMO.info()
 
 
-def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
+def feasible_rational(system: ConstraintSystem) -> bool:
     """Sound emptiness pruning: ``False`` means definitely integer-empty.
 
     All free variables (including divs, which are expanded) are treated as
@@ -823,7 +1072,7 @@ def feasible_rational(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
     memo = _FEASIBILITY_MEMO
     answer = memo.get(cache_key)
     if answer is None:
-        answer, cutoff = _feasible_rows(system, max_vars)
+        answer, cutoff = _feasible_rows(system, _MAX_VARS)
         memo.put(cache_key, answer, cutoff)
     return answer
 
@@ -838,7 +1087,7 @@ def variable_range(system: ConstraintSystem, name: str, others: Sequence[str]) -
     constraints for each candidate point.  Raises :class:`UnboundedSetError`
     if no finite bound exists.
     """
-    expanded, fresh = _expand_divs(system, list(others) + [name])
+    expanded, fresh, _ = _expand_divs(system, list(others) + [name])
     symbols, rows = _dense(expanded)
     column_of = {sym: index for index, sym in enumerate(symbols)}
     for other in list(others) + fresh:
@@ -882,10 +1131,7 @@ def _enumerate_recursive(system: ConstraintSystem, names: List[str], partial: Di
         return
     name = names[0]
     rest = names[1:]
-    try:
-        low, high = variable_range(system, name, [n for n in system.variables() if n != name and isinstance(n, str)])
-    except UnboundedSetError:
-        raise
+    low, high = variable_range(system, name, [n for n in system.variables() if n != name and isinstance(n, str)])
     for value in range(low, high + 1):
         substituted = system.substitute({name: value})
         if substituted.has_trivially_false():

@@ -103,7 +103,7 @@ class _CountState:
         # denominators are deduplicated before the LCM so repeated moduli do
         # not cost extra gcd work (and the modulus stays deterministic).
         denominators = {d.denominator for d in system.divs_involving([inner])}
-        denominators |= {d.denominator for d in poly.divs() if inner in d.argument().free_variables()}
+        denominators |= {d.denominator for d in poly.divs() if inner in d.variables()}
         if denominators:
             modulus = 1
             for d in sorted(denominators):

@@ -15,6 +15,7 @@ in :mod:`repro.isl.counting`.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -34,6 +35,9 @@ __all__ = [
 Number = Union[int, Fraction]
 
 
+_ONE = Fraction(1)
+
+
 def _to_fraction(value: Number) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -49,9 +53,11 @@ class Div:
     produced by :meth:`QPoly._canonical_items`.  ``denominator`` is a positive
     integer.  Divs may be nested (the argument may itself contain divs).
 
-    The hash and the sort key (the ``repr``) are computed on first use and
-    kept on the instance; :meth:`__getstate__` leaves them out of the pickle,
-    because ``str`` hashes differ between processes.
+    The hash, the sort key (the ``repr``), the free variables and the
+    integer rows that define the div (:mod:`repro.isl.constraints`) are
+    computed on first use and kept on the instance; :meth:`__getstate__`
+    leaves them out of the pickle, because ``str`` hashes differ between
+    processes.
     """
 
     items: Tuple[Tuple[Tuple[Tuple["Symbol", int], ...], Fraction], ...]
@@ -60,6 +66,8 @@ class Div:
     #: Per-process caches, set with ``object.__setattr__`` on first use.
     _hash = None
     _key = None
+    _variables = None
+    _rows = None
 
     def argument(self) -> "QPoly":
         """Return the argument of the floor as a :class:`QPoly`."""
@@ -67,6 +75,21 @@ class Div:
 
     def symbols(self) -> set:
         return self.argument().symbols()
+
+    def variables(self) -> frozenset:
+        """The string variables of the argument, also inside nested divs."""
+        names = self._variables
+        if names is None:
+            found = set()
+            for monomial, _ in self.items:
+                for sym, _exp in monomial:
+                    if isinstance(sym, str):
+                        found.add(sym)
+                    else:
+                        found |= sym.variables()
+            names = frozenset(found)
+            object.__setattr__(self, "_variables", names)
+        return names
 
     def sort_key(self) -> Tuple[int, str]:
         """Orders divs after plain variables, by their ``repr``."""
@@ -82,6 +105,15 @@ class Div:
             value = hash((self.items, self.denominator))
             object.__setattr__(self, "_hash", value)
         return value
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Div:
+            return NotImplemented
+        # The cached hashes tell most unequal divs apart without walking
+        # their ``Fraction`` items.
+        return hash(self) == hash(other) and self.denominator == other.denominator and self.items == other.items
 
     def __getstate__(self) -> Dict[str, object]:
         return {"items": self.items, "denominator": self.denominator}
@@ -160,6 +192,14 @@ class QPoly:
         self._items: Optional[Tuple[Tuple[Monomial, Fraction], ...]] = None
         self._hash: Optional[int] = None
 
+    @classmethod
+    def _of(cls, terms: Dict[Monomial, Fraction]) -> "QPoly":
+        """Wrap ``terms`` as they are: non-zero ``Fraction`` coefficients."""
+        poly = cls.__new__(cls)
+        poly.terms = terms
+        poly._items = poly._hash = None
+        return poly
+
     def __reduce__(self) -> Tuple[type, Tuple[Dict[Monomial, Fraction]]]:
         return (QPoly, (self.terms,))
 
@@ -168,11 +208,12 @@ class QPoly:
     # ------------------------------------------------------------------
     @staticmethod
     def constant(value: Number) -> "QPoly":
-        return QPoly({(): _to_fraction(value)})
+        frac = _to_fraction(value)
+        return QPoly._of({(): frac} if frac else {})
 
     @staticmethod
     def variable(name: Symbol) -> "QPoly":
-        return QPoly({((name, 1),): Fraction(1)})
+        return QPoly._of({((name, 1),): _ONE})
 
     @staticmethod
     def from_affine(coeffs: Mapping[Symbol, Number], const: Number = 0) -> "QPoly":
@@ -267,7 +308,7 @@ class QPoly:
             for sym, _ in monomial:
                 if sym == name:
                     return True
-                if isinstance(sym, Div) and _div_involves(sym, name):
+                if isinstance(sym, Div) and name in sym.variables():
                     return True
         return False
 
@@ -296,21 +337,28 @@ class QPoly:
     # ------------------------------------------------------------------
     # Arithmetic
     # ------------------------------------------------------------------
+    # The operations below keep the term order of repeated addition: the
+    # left operand's terms, then new monomials in the order they come; a
+    # monomial whose coefficient cancels leaves its slot.
     def __add__(self, other: Union["QPoly", Number]) -> "QPoly":
         other_poly = other if isinstance(other, QPoly) else QPoly.constant(other)
         terms = dict(self.terms)
         for monomial, coeff in other_poly.terms.items():
-            new = terms.get(monomial, Fraction(0)) + coeff
-            if new:
-                terms[monomial] = new
-            elif monomial in terms:
-                del terms[monomial]
-        return QPoly(terms)
+            old = terms.get(monomial)
+            if old is None:
+                terms[monomial] = coeff
+            else:
+                new = old + coeff
+                if new:
+                    terms[monomial] = new
+                else:
+                    del terms[monomial]
+        return QPoly._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QPoly":
-        return QPoly({monomial: -coeff for monomial, coeff in self.terms.items()})
+        return QPoly._of({monomial: -coeff for monomial, coeff in self.terms.items()})
 
     def __sub__(self, other: Union["QPoly", Number]) -> "QPoly":
         other_poly = other if isinstance(other, QPoly) else QPoly.constant(other)
@@ -324,17 +372,21 @@ class QPoly:
             factor = _to_fraction(other)
             if not factor:
                 return QPoly()
-            return QPoly({monomial: coeff * factor for monomial, coeff in self.terms.items()})
+            return QPoly._of({monomial: coeff * factor for monomial, coeff in self.terms.items()})
         result: Dict[Monomial, Fraction] = {}
         for mono_a, coeff_a in self.terms.items():
             for mono_b, coeff_b in other.terms.items():
                 monomial = _monomial_mul(mono_a, mono_b)
-                new = result.get(monomial, Fraction(0)) + coeff_a * coeff_b
-                if new:
-                    result[monomial] = new
-                elif monomial in result:
-                    del result[monomial]
-        return QPoly(result)
+                old = result.get(monomial)
+                if old is None:
+                    result[monomial] = coeff_a * coeff_b
+                else:
+                    new = old + coeff_a * coeff_b
+                    if new:
+                        result[monomial] = new
+                    else:
+                        del result[monomial]
+        return QPoly._of(result)
 
     __rmul__ = __mul__
 
@@ -379,19 +431,55 @@ class QPoly:
         """Substitute variables by quasi-polynomials (or numbers).
 
         Divs whose arguments mention substituted variables are rebuilt (and
-        simplified) after substitution.
+        simplified) after substitution.  A polynomial that mentions no
+        assigned name, directly or inside a div, is returned as is.
+
+        The result is the sum of the substituted terms, added in term order:
+        a monomial keeps the slot where it first appears, and one whose
+        coefficient cancels leaves its slot (to reappear at the end).
+        Degree-one terms with an affine replacement take a fast path with
+        the same outcome; untouched symbols stand for themselves, as a
+        rebuilt div equals its original.
         """
-        if not assignment:
+        if not assignment or not self._mentions(assignment):
             return self
-        result = QPoly()
+        terms: Dict[Monomial, Fraction] = {}
+        get = terms.get
         for monomial, coeff in self.terms.items():
-            factor = QPoly.constant(coeff)
-            for sym, exp in monomial:
-                replacement = _substitute_symbol(sym, assignment)
-                for _ in range(exp):
-                    factor = factor * replacement
-            result = result + factor
-        return result
+            if not monomial:
+                part: Iterable[Tuple[Monomial, Fraction]] = ((monomial, coeff),)
+            elif len(monomial) == 1 and monomial[0][1] == 1:
+                sym = monomial[0][0]
+                if not (sym in assignment if isinstance(sym, str) else _div_mentions(sym, assignment)):
+                    part = ((monomial, coeff),)
+                else:
+                    replacement = _substitute_symbol(sym, assignment)
+                    if all(len(mono) < 2 and (not mono or mono[0][1] == 1) for mono in replacement.terms):
+                        part = [(mono, coeff * value) for mono, value in replacement.terms.items()]
+                    else:
+                        part = (QPoly.constant(coeff) * replacement).terms.items()
+            else:
+                factor = QPoly.constant(coeff)
+                for sym, exp in monomial:
+                    replacement = _substitute_symbol(sym, assignment)
+                    for _ in range(exp):
+                        factor = factor * replacement
+                part = factor.terms.items()
+            for mono, value in part:
+                total = get(mono, 0) + value
+                if total:
+                    terms[mono] = total
+                elif mono in terms:
+                    del terms[mono]
+        return QPoly._of(terms)
+
+    def _mentions(self, assignment: Mapping[str, object]) -> bool:
+        """Whether a name of ``assignment`` occurs, also inside a div."""
+        for monomial in self.terms:
+            for sym, _ in monomial:
+                if sym in assignment if isinstance(sym, str) else _div_mentions(sym, assignment):
+                    return True
+        return False
 
     def evaluate(self, assignment: Mapping[str, int]) -> Fraction:
         """Evaluate at an integer point.  Divs are evaluated with floor."""
@@ -443,19 +531,13 @@ class QPoly:
     def degree_in_divs(self, name: str) -> bool:
         for monomial in self.terms:
             for sym, _ in monomial:
-                if isinstance(sym, Div) and _div_involves(sym, name):
+                if isinstance(sym, Div) and name in sym.variables():
                     return True
         return False
 
 
-def _div_involves(div: Div, name: str) -> bool:
-    for monomial, _ in div.items:
-        for sym, _exp in monomial:
-            if sym == name:
-                return True
-            if isinstance(sym, Div) and _div_involves(sym, name):
-                return True
-    return False
+def _div_mentions(div: Div, assignment: Mapping[str, object]) -> bool:
+    return not assignment.keys().isdisjoint(div.variables())
 
 
 def _substitute_symbol(sym: Symbol, assignment: Mapping[str, Union[QPoly, Number]]) -> QPoly:
@@ -523,8 +605,22 @@ def floor_div(argument: QPoly, denominator: int) -> QPoly:
         denominator //= gcd
         if denominator == 1:
             return pulled + remainder
-    div = Div(remainder._canonical_items(), denominator)
-    return pulled + QPoly.variable(div)
+    return pulled + QPoly.variable(_interned_div(remainder._canonical_items(), denominator))
+
+
+#: Every live div built by :func:`floor_div`, by value: equal divs are one
+#: object, so that comparing and looking them up is an identity check.
+_DIVS: "weakref.WeakValueDictionary[Tuple, Div]" = weakref.WeakValueDictionary()
+
+
+def _interned_div(items: Tuple, denominator: int) -> Div:
+    key = (items, denominator)
+    div = _DIVS.get(key)
+    if div is None:
+        div = Div(items, denominator)
+        object.__setattr__(div, "_hash", hash(key))
+        _DIVS[key] = div
+    return div
 
 
 #: ``math.gcd`` is C-implemented; ``floor_div`` runs once per floor built by

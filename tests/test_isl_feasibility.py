@@ -3,7 +3,10 @@
 The oracle below is the ``QPoly``/``Fraction`` Fourier-Motzkin elimination
 that :func:`repro.isl.constraints.feasible_rational` and
 :func:`~repro.isl.constraints.variable_range` used before they moved onto
-integer rows, kept verbatim.  The integer kernel must return the same answer
+integer rows, kept verbatim but for running on the constraint classes and
+``QPoly`` arithmetic of ``isl_oracle`` (the layer before it kept integer
+rows too), so that it shares no code with the kernel.  The integer kernel
+must return the same answer
 as the oracle on every input, including the conservative "feasible" answers
 of the variable and row cut-offs, so that feasibility call sequences, work
 units and piece counts do not depend on which implementation runs.
@@ -39,11 +42,15 @@ from repro.isl.constraints import (
 )
 from repro.isl.qpoly import QPoly, floor_div
 
+import isl_oracle
+from isl_oracle import OldConstraint, OldSystem, mul, sub, to_old
+
 
 # ----------------------------------------------------------------------
 # Oracle: the QPoly Fourier-Motzkin path, unchanged but for line wrapping
 # ----------------------------------------------------------------------
 def _feasible_rational_uncached(system: ConstraintSystem, *, max_vars: int = 24) -> bool:
+    system = to_old(system)
     names = sorted(n for n in system.variables())
     expanded, fresh, _ = system.expand_divs(names)
     all_names = list(expanded.variables())
@@ -65,10 +72,10 @@ def _feasible_rational_uncached(system: ConstraintSystem, *, max_vars: int = 24)
     return not current.has_trivially_false()
 
 
-def _fm_eliminate_rational(system: ConstraintSystem, name: str) -> ConstraintSystem:
+def _fm_eliminate_rational(system: OldSystem, name: str) -> OldSystem:
     lowers: List[Tuple[QPoly, int]] = []
     uppers: List[Tuple[QPoly, int]] = []
-    rest: List[Constraint] = []
+    rest: List[OldConstraint] = []
     equalities: List[Tuple[QPoly, Fraction]] = []
     for constraint in system.constraints:
         expr = constraint.expr
@@ -76,36 +83,36 @@ def _fm_eliminate_rational(system: ConstraintSystem, name: str) -> ConstraintSys
         if not coeff or expr.degree_in_divs(name):
             rest.append(constraint)
             continue
-        remainder = expr - QPoly.variable(name) * coeff
+        remainder = sub(expr, mul(isl_oracle.variable(name), coeff))
         if constraint.kind == EQ:
             equalities.append((remainder, coeff))
         elif coeff > 0:
-            lowers.append((-remainder, coeff.numerator))
+            lowers.append((isl_oracle.neg(remainder), coeff.numerator))
         else:
             uppers.append((remainder, -coeff.numerator))
     if equalities:
         remainder, coeff = equalities[0]
-        value = remainder * (Fraction(-1) / coeff)
+        value = mul(remainder, Fraction(-1) / coeff)
         substitution = {name: value}
-        new_system = ConstraintSystem()
+        new_system = OldSystem()
         for constraint in system.constraints:
             if (
                 constraint.expr.coefficient(name) == coeff
                 and constraint.kind == EQ
-                and constraint.expr - QPoly.variable(name) * coeff == remainder
+                and sub(constraint.expr, mul(isl_oracle.variable(name), coeff)) == remainder
             ):
                 continue
             new_system.add(constraint.substitute(substitution))
         return new_system
-    out = ConstraintSystem(rest)
+    out = OldSystem(rest)
     for low_expr, low_coeff in lowers:
         for up_expr, up_coeff in uppers:
-            out.add(ge(up_expr * low_coeff - low_expr * up_coeff, 0))
+            out.add(isl_oracle.ge(sub(mul(up_expr, low_coeff), mul(low_expr, up_coeff)), 0))
     return out
 
 
 def _variable_range_oracle(system: ConstraintSystem, name: str, others: Sequence[str]) -> Tuple[int, int]:
-    expanded, fresh, _ = system.expand_divs(list(others) + [name])
+    expanded, fresh, _ = to_old(system).expand_divs(list(others) + [name])
     current = expanded
     for other in list(others) + fresh:
         current = _fm_eliminate_rational(current, other)
@@ -115,7 +122,7 @@ def _variable_range_oracle(system: ConstraintSystem, name: str, others: Sequence
         coeff = constraint.expr.coefficient(name)
         if not coeff:
             continue
-        remainder = constraint.expr - QPoly.variable(name) * coeff
+        remainder = sub(constraint.expr, mul(isl_oracle.variable(name), coeff))
         if not remainder.is_constant():
             continue
         value = -remainder.constant_value() / coeff
@@ -156,11 +163,13 @@ def _runs(system: ConstraintSystem, max_vars: int = 24):
 
     Each run is ``(answer, expanded rows, contradiction, steps)`` with one
     step per eliminated variable: its name, the rows left and whether a
-    constant false row appeared.  Equal runs mean equal order, normal forms,
-    deduplication and cut-offs, not only equal answers.  (Once a false row
-    exists the answer is ``False``; the oracle may take one more step.)
+    constant false row appeared (the rows of such a step are not compared:
+    the kernel leaves out those after the false one).  Equal runs mean equal
+    order, normal forms, deduplication and cut-offs, not only equal answers.
+    (Once a false row exists the answer is ``False``; the oracle may take
+    one more step.)
     """
-    expanded_system = system.expand_divs(sorted(system.variables()))[0]
+    expanded_system = to_old(system).expand_divs(sorted(system.variables()))[0]
     expanded = constraints._expand_divs(system, None)[0]
     symbols, _ = constraints._dense(expanded)
     oracle_steps, kernel_steps = [], []
@@ -169,13 +178,15 @@ def _runs(system: ConstraintSystem, max_vars: int = 24):
     def oracle(current, name):
         result = oracle_step(current, name)
         if not current.has_trivially_false():
-            oracle_steps.append((name, _rows_of(result), result.has_trivially_false()))
+            false = result.has_trivially_false()
+            oracle_steps.append((name, None if false else _rows_of(result), false))
         return result
 
-    def kernel(rows, column):
-        result = kernel_step(rows, column)
+    def kernel(rows, column, **options):
+        result = kernel_step(rows, column, **options)
         dicts = [(e, {symbols[j]: v for j, v in enumerate(c) if v}, k) for e, c, k in result.rows]
-        kernel_steps.append((symbols[column], dicts, result.contradiction))
+        # The kernel stops a step at its first false row: the rest is unused.
+        kernel_steps.append((symbols[column], None if result.contradiction else dicts, result.contradiction))
         return result
 
     globals()["_fm_eliminate_rational"], constraints._eliminate = oracle, kernel
@@ -544,8 +555,8 @@ def test_normalized_fast_path_matches_the_slow_path(parts):
     assert fast_system.constraints == slow_system.constraints
     assert fast_system.has_trivially_false() == slow_system.has_trivially_false()
     for names in (None, ["i"], ["j", "k"]):
-        fast_rows, fast_fresh = constraints._expand_divs(fast_system, names)
-        slow_rows, slow_fresh = constraints._expand_divs(slow_system, names)
+        fast_rows, fast_fresh, _ = constraints._expand_divs(fast_system, names)
+        slow_rows, slow_fresh, _ = constraints._expand_divs(slow_system, names)
         assert (fast_rows.rows, fast_rows.contradiction, fast_fresh) == (
             slow_rows.rows,
             slow_rows.contradiction,

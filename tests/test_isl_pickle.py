@@ -1,7 +1,9 @@
 """Pickled polyhedral values carry no per-process cache to another process.
 
 ``QPoly`` and ``Div`` compute their canonical form, hash and sort key once
-and keep them.  ``str`` hashes are randomised per process, and scops,
+and keep them; a ``Div`` also keeps its free variables and defining integer
+rows, and a ``Constraint`` its integer row, direction and hash.  ``str``
+hashes are randomised per process, and scops,
 systems and polynomials are pickled into batch, server and piece-worker
 pools, so those caches must stay behind when a value is pickled.  The test
 below warms every cache here, pickles the values and checks them in a child
@@ -19,7 +21,15 @@ from pathlib import Path
 
 from repro.engine.cache import canonical_key
 from repro.engine.store import stable_digest
-from repro.isl.constraints import ConstraintSystem, eq, feasibility_cache_info, feasible_rational, ge, le
+from repro.isl.constraints import (
+    ConstraintSystem,
+    _expand_divs,
+    eq,
+    feasibility_cache_info,
+    feasible_rational,
+    ge,
+    le,
+)
 from repro.isl.qpoly import QPoly, floor_div
 
 TESTS = Path(__file__).resolve().parent
@@ -57,7 +67,17 @@ def warm(values: dict) -> None:
         hash(value)
     values["poly"]._canonical_items()
     values["div"].sort_key()
+    values["div"].variables()
+    for constraint in (values["constraint"], *values["system"].constraints):
+        constraint.row()
+        constraint.direction()
+    values["system"].expand_divs(["i", "j"])
     feasible_rational(values["system"])
+
+
+def rows(system) -> list:
+    """The integer rows of a system after expanding every div."""
+    return _expand_divs(system, None)[0].rows
 
 
 def check_in_child(expected_json: str) -> None:
@@ -73,6 +93,10 @@ def check_in_child(expected_json: str) -> None:
         assert {old: name}[new] == name and {new: name}[old] == name
     old_system, new_system = loaded["system"], fresh["system"]
     assert set(old_system.constraints) == set(new_system.constraints)
+    for old, new in zip(old_system.constraints, new_system.constraints):
+        assert old == new and hash(old) == hash(new) and old in {new} and {new: 1}[old] == 1
+        assert old.row() == new.row() and old.direction() == new.direction()
+    assert rows(old_system) == rows(new_system)
     assert {frozenset(old_system.constraints): 1}[frozenset(new_system.constraints)] == 1
     # The unpickled system's own dedup tables work: adding what it holds is a no-op.
     merged = old_system.conjoin(new_system)
@@ -99,9 +123,17 @@ def test_pickling_drops_the_caches():
     assert list(loaded_poly.terms) == list(poly.terms)
     # On its own, nothing hashes a div while it is unpickled (inside a
     # polynomial, the rebuilt ``terms`` dict hashes it afresh).
+    assert {"_hash", "_key", "_variables", "_rows"} <= set(vars(div))
     loaded_div = pickle.loads(pickle.dumps(div))
     assert set(vars(loaded_div)) == {"items", "denominator"}
     assert loaded_div == div and hash(loaded_div) == hash(div) and loaded_div.sort_key() == div.sort_key()
+    # Constraints send their expression and kind only.
+    for constraint in (values["constraint"], *values["system"].constraints):
+        assert None not in (constraint._row, constraint._normal, constraint._direction, constraint._hash)
+        loaded = pickle.loads(pickle.dumps(constraint))
+        assert (loaded._row, loaded._normal, loaded._direction, loaded._hash) == (None, None, None, None)
+        assert loaded == constraint and hash(loaded) == hash(constraint)
+        assert list(loaded.expr.terms.items()) == list(constraint.expr.terms.items())
 
 
 def test_unpickled_values_rehash_under_another_hash_seed():
